@@ -50,8 +50,19 @@ def _read(path: str) -> bytes:
         raise ValidationError(f"cannot read {path}: {exc}", code="io") from None
 
 
-def _load_market(path: str) -> MarketDocument:
-    return parse_market(_read(path))
+def _load_stable(path: str) -> tuple[MarketDocument, StableSet]:
+    doc = parse_market(_read(path))
+    return doc, enumerate_stable(doc.build_market())
+
+
+def _load_lottery(path: str, doc: MarketDocument, stable: StableSet) -> Lottery:
+    """Parse a lottery file; every term must be a stable matching of the market."""
+    lottery = parse_lottery(_read(path), doc)
+    for k, matching in enumerate(lottery.matchings):
+        if matching not in stable:
+            message = f"{path}: $.terms[{k}].matching is not a stable matching of this market"
+            raise ValidationError(message, code="not-in-stable-set")
+    return lottery
 
 
 def _format_subset(indices, names) -> str:
@@ -63,7 +74,7 @@ def _format_lottery(lottery: Lottery, stable: StableSet) -> str:
 
 
 def _cmd_check(args) -> int:
-    doc = _load_market(args.market)
+    doc = parse_market(_read(args.market))
     market = doc.build_market()
     rows = [
         (label, pref, doc.worker_names)
@@ -102,8 +113,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    doc = _load_market(args.market)
-    stable = enumerate_stable(doc.build_market())
+    doc, stable = _load_stable(args.market)
     cells = [[""] + list(doc.firm_names)]
     for i, matching in enumerate(stable):
         row = [stable.label(i)]
@@ -117,8 +127,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    doc = _load_market(args.market)
-    stable = enumerate_stable(doc.build_market())
+    _, stable = _load_stable(args.market)
     dot = to_dot(stable)
     Path(args.dot).write_text(dot, encoding="utf-8")
     print(f"wrote {args.dot} ({len(stable)} matchings, {len(hasse_edges(stable))} edges)")
@@ -126,17 +135,13 @@ def _cmd_lattice(args) -> int:
 
 
 def _load_pair(args):
-    doc = _load_market(args.market)
-    stable = enumerate_stable(doc.build_market())
-    x = parse_lottery(_read(args.x), doc)
-    y = parse_lottery(_read(args.y), doc)
-    return doc, stable, x, y
+    doc, stable = _load_stable(args.market)
+    return doc, stable, _load_lottery(args.x, doc, stable), _load_lottery(args.y, doc, stable)
 
 
 def _cmd_decompose(args) -> int:
-    doc = _load_market(args.market)
-    stable = enumerate_stable(doc.build_market())
-    lottery = parse_lottery(_read(args.lottery), doc)
+    doc, stable = _load_stable(args.market)
+    lottery = _load_lottery(args.lottery, doc, stable)
     print(_format_lottery(decompose(lottery, stable), stable))
     return EXIT_OK
 

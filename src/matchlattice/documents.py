@@ -23,18 +23,19 @@ Lottery document::
       ]
     }
 
-Weights are fraction strings (never decimals) and must sum to one.  A
-matching lists only the firm side; omitted firms are unmatched, and the
-worker side is derived.
+Weights are fraction strings ``n`` or ``n/d`` (never decimals) and must sum to
+one.  A matching lists only the firm side; omitted firms are unmatched, and the
+worker side is derived.  A quota is a JSON integer; no object repeats a key.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .errors import ValidationError
 from .lotteries import Lottery
@@ -105,7 +106,7 @@ def _need(mapping, key, kind, path: str):
     if not isinstance(mapping, dict) or key not in mapping:
         raise _fail(path, f"missing key {key!r}", "schema")
     value = mapping[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise _fail(f"{path}.{key}", f"expected {kind.__name__}", "schema")
     return value
 
@@ -121,13 +122,39 @@ def _name_list(raw, path: str) -> tuple[str, ...]:
     return tuple(raw)
 
 
+def _path_to(target, value, path: str = "$") -> Optional[str]:
+    """JSON path of the object ``target`` inside ``value``."""
+    if value is target:
+        return path
+    if isinstance(value, dict):
+        children = ((f"{path}.{key}", item) for key, item in value.items())
+    elif isinstance(value, list):
+        children = ((f"{path}[{k}]", item) for k, item in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_path_to(target, item, sub) for sub, item in children)), None)
+
+
 def _load_json(data: Union[str, bytes]):
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    repeats = []
+
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeats.append((obj, next(key for key in obj if keys.count(key) > 1)))
+        return obj
+
     try:
-        return json.loads(data)
-    except json.JSONDecodeError as exc:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        raw = json.loads(text, object_pairs_hook=unique_keys)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"malformed JSON: {exc}", code="malformed-json") from None
+    if repeats:
+        # The hook cannot see where an object sits; find it in the result.
+        obj, key = repeats[0]
+        raise _fail(_path_to(obj, raw), f"duplicate key {key!r}", "duplicate-key")
+    return raw
 
 
 def parse_market(data: Union[str, bytes]) -> MarketDocument:
@@ -208,13 +235,16 @@ def dump_market(doc: MarketDocument) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+#: A weight is ``n`` or ``n/d`` with a nonzero denominator: no sign,
+#: space, decimal point or exponent.
+_WEIGHT = re.compile(r"([0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+
+
 def _parse_weight(raw, path: str) -> Fraction:
-    if not isinstance(raw, str):
-        raise _fail(path, "weight must be a fraction string such as \"5/12\"", "bad-weight")
-    try:
-        weight = Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise _fail(path, f"{raw!r} is not a fraction", "bad-weight") from None
+    match = _WEIGHT.fullmatch(raw) if isinstance(raw, str) else None
+    if match is None:
+        raise _fail(path, f"{raw!r} is not a fraction string n or n/d", "bad-weight")
+    weight = Fraction(int(match[1]), int(match[2] or 1))
     if weight <= 0 or weight > 1:
         raise _fail(path, f"weight {raw} outside (0, 1]", "bad-weight")
     return weight
@@ -226,8 +256,7 @@ def parse_lottery(data: Union[str, bytes], doc: MarketDocument) -> Lottery:
     raw_terms = _need(raw, "terms", list, "$")
     if not raw_terms:
         raise _fail("$.terms", "a lottery needs at least one term", "empty-lottery")
-    worker_idx = doc.worker_index
-    firm_names = set(doc.firm_names)
+    firm_idx, worker_idx = doc.firm_index, doc.worker_index
     nf, nw = len(doc.firm_names), len(doc.worker_names)
 
     terms = []
@@ -238,17 +267,18 @@ def parse_lottery(data: Union[str, bytes], doc: MarketDocument) -> Lottery:
         raw_matching = _need(raw_term, "matching", dict, path)
         edges = []
         for firm, assigned in raw_matching.items():
-            if firm not in firm_names:
+            if firm not in firm_idx:
                 raise _fail(f"{path}.matching", f"unknown firm {firm!r}", "unknown-agent")
             if not isinstance(assigned, list) or not all(isinstance(n, str) for n in assigned):
                 raise _fail(f"{path}.matching.{firm}", "expected worker names", "schema")
-            i = doc.firm_index[firm]
             for worker in assigned:
                 if worker not in worker_idx:
                     raise _fail(
                         f"{path}.matching.{firm}", f"unknown worker {worker!r}", "unknown-agent"
                     )
-                edges.append((i, worker_idx[worker]))
+                edges.append((firm_idx[firm], worker_idx[worker]))
+            if len(set(assigned)) < len(assigned):
+                raise _fail(f"{path}.matching.{firm}", "repeated worker", "schema")
         terms.append((weight, Matching.from_edges(nf, nw, edges)))
         total += weight
     if total != 1:

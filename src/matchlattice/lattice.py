@@ -89,12 +89,6 @@ def compare_side(m1: Matching, m2: Matching, market: Market, side: Side) -> Cmp:
     return compare_workers(m1, m2, market)
 
 
-def _require_stable(matching: Matching, market: Market) -> None:
-    witness = find_blocking(matching, market)
-    if witness is not None:
-        raise ValidationError(f"matching is not stable (blocked by {witness})", code="not-stable")
-
-
 def _firm_pointing(matchings: Iterable[Matching], market: Market) -> Matching:
     unions = [0] * market.num_firms
     for m in matchings:
@@ -113,50 +107,42 @@ def _worker_pointing(matchings: Iterable[Matching], market: Market) -> Matching:
     return Matching.from_worker_masks(market.num_firms, masks)
 
 
-def join_f(m1: Matching, m2: Matching, market: Market) -> Matching:
-    """Firm-side least upper bound: each firm chooses from the union of its
-    two assignments.  Coincides with the worker-side meet."""
-    _require_stable(m1, market)
-    _require_stable(m2, market)
-    return _firm_pointing((m1, m2), market)
-
-
-def meet_f(m1: Matching, m2: Matching, market: Market) -> Matching:
-    """Firm-side greatest lower bound, computed with the workers' choices.
-    Coincides with the worker-side join."""
-    _require_stable(m1, market)
-    _require_stable(m2, market)
-    return _worker_pointing((m1, m2), market)
-
-
-def join_w(m1: Matching, m2: Matching, market: Market) -> Matching:
-    return meet_f(m1, m2, market)
-
-
-def meet_w(m1: Matching, m2: Matching, market: Market) -> Matching:
-    return join_f(m1, m2, market)
+def _stable_family(matchings: Iterable[Matching], market: Market, operation: str) -> list[Matching]:
+    group = list(matchings)
+    if not group:
+        raise ValidationError(f"{operation} of an empty family of matchings")
+    for m in group:
+        witness = find_blocking(m, market)
+        if witness is not None:
+            raise ValidationError(f"matching is not stable (blocked by {witness})", code="not-stable")
+    return group
 
 
 def multi_join_f(matchings: Iterable[Matching], market: Market) -> Matching:
-    """Firm-side least upper bound of a whole family, in one pointing step.
+    """Firm-side least upper bound of a whole family, in one pointing step:
+    each firm chooses from the union of its assignments.  Coincides with
+    the worker-side meet, and equals the fold of pairwise joins in any order.
 
-    Equals the fold of pairwise joins in any order.
+    Every member is checked for stability first; the lottery algebra, whose
+    inputs are already stable-set members, points directly instead.
     """
-    group = list(matchings)
-    if not group:
-        raise ValidationError("join of an empty family of matchings")
-    for m in group:
-        _require_stable(m, market)
-    return _firm_pointing(group, market)
+    return _firm_pointing(_stable_family(matchings, market, "join"), market)
 
 
 def multi_meet_f(matchings: Iterable[Matching], market: Market) -> Matching:
-    group = list(matchings)
-    if not group:
-        raise ValidationError("meet of an empty family of matchings")
-    for m in group:
-        _require_stable(m, market)
-    return _worker_pointing(group, market)
+    """Firm-side greatest lower bound of a family, computed with the
+    workers' choices.  Coincides with the worker-side join."""
+    return _worker_pointing(_stable_family(matchings, market, "meet"), market)
+
+
+def join_f(m1: Matching, m2: Matching, market: Market) -> Matching:
+    """Firm-side least upper bound of two stable matchings."""
+    return multi_join_f((m1, m2), market)
+
+
+def meet_f(m1: Matching, m2: Matching, market: Market) -> Matching:
+    """Firm-side greatest lower bound of two stable matchings."""
+    return multi_meet_f((m1, m2), market)
 
 
 @dataclass(frozen=True)
@@ -194,7 +180,7 @@ class StableSet:
             return self._positions[matching]
         except KeyError:
             raise ValidationError(
-                "matching does not belong to the stable set", code="not-in-stable-set"
+                "matching is not a member of the stable set", code="not-in-stable-set"
             ) from None
 
     def label(self, index: int) -> str:
@@ -290,18 +276,10 @@ def enumerate_stable(market: Market) -> StableSet:
 def rht_check(stable_set: StableSet) -> bool:
     """Rural Hospital property: every agent has the same number of partners
     in every stable matching.  Must hold whenever the axioms hold."""
-    matchings = stable_set.matchings
-    if not matchings:
-        return True
-    reference = matchings[0]
-    firm_counts = tuple(mask.bit_count() for mask in reference.firm_masks)
-    worker_counts = tuple(mask.bit_count() for mask in reference.worker_masks)
-    for m in matchings[1:]:
-        if tuple(mask.bit_count() for mask in m.firm_masks) != firm_counts:
-            return False
-        if tuple(mask.bit_count() for mask in m.worker_masks) != worker_counts:
-            return False
-    return True
+    partner_counts = {
+        tuple(mask.bit_count() for mask in m.firm_masks + m.worker_masks) for m in stable_set
+    }
+    return len(partner_counts) <= 1
 
 
 def hasse_edges(stable_set: StableSet) -> tuple[tuple[int, int], ...]:

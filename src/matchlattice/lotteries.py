@@ -34,9 +34,9 @@ from itertools import accumulate
 from typing import Iterable, Union
 
 from .errors import ValidationError
-from .lattice import Cmp, StableSet, compare_side, join_f, meet_f, multi_join_f
+from .lattice import Cmp, StableSet, _firm_pointing, _worker_pointing, compare_side
 from .matchings import Matching, RationalMatrix, ZERO, ONE
-from .prefs import AgentId, Market, Preference, SetComparison, Side
+from .prefs import AgentId, Market, Preference, SetComparison, Side, mask_subset
 
 
 @dataclass(frozen=True)
@@ -113,19 +113,12 @@ class Lottery:
         cells = [[ZERO] * nw for _ in range(nf)]
         for weight, matching in self.terms:
             for i, mask in enumerate(matching.firm_masks):
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    cells[i][low.bit_length() - 1] += weight
-                    rest ^= low
+                for j in mask_subset(mask):
+                    cells[i][j] += weight
         return RationalMatrix(tuple(tuple(row) for row in cells))
 
     def __len__(self) -> int:
         return len(self.terms)
-
-
-def expectation(lottery: Lottery) -> RationalMatrix:
-    return lottery.expectation()
 
 
 def is_decreasing(lottery: Lottery, market: Market) -> bool:
@@ -137,11 +130,25 @@ def is_decreasing(lottery: Lottery, market: Market) -> bool:
     )
 
 
-def _require_decreasing(lottery: Lottery, market: Market, name: str) -> None:
-    if not is_decreasing(lottery, market):
-        raise ValidationError(
-            f"{name} is not in decreasing form; run decompose first", code="not-canonical"
-        )
+def _require_decreasing_pair(x: Lottery, y: Lottery, market: Market) -> None:
+    for name, lottery in (("first lottery", x), ("second lottery", y)):
+        if not is_decreasing(lottery, market):
+            raise ValidationError(
+                f"{name} is not in decreasing form; run decompose first", code="not-canonical"
+            )
+    if x.shape != y.shape:
+        raise ValidationError("lotteries come from different markets", code="mismatched-market")
+
+
+def _merge_runs(gamma: Iterable[Fraction], matchings: Iterable[Matching]) -> Lottery:
+    """The lottery of aligned weights, equal consecutive matchings merged."""
+    terms: list[tuple[Fraction, Matching]] = []
+    for g, m in zip(gamma, matchings):
+        if terms and terms[-1][1] == m:
+            terms[-1] = (terms[-1][0] + g, m)
+        else:
+            terms.append((g, m))
+    return Lottery(tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -177,8 +184,8 @@ def _closed_pool(support: Iterable[Matching], stable_set: StableSet) -> list[Mat
     """Close the support under pairwise joins and meets, to a fixpoint.
 
     By associativity this equals throwing in the join and the meet of every
-    sub-family; the fixpoint stays inside the (finite) stable set.  The
-    result is sorted by stable-set position so runs are deterministic.
+    sub-family; the fixpoint stays inside the (finite) stable set.  Sorting
+    by stable-set position keeps runs deterministic and rejects non-members.
     """
     market = stable_set.market
     pool = set(support)
@@ -188,7 +195,8 @@ def _closed_pool(support: Iterable[Matching], stable_set: StableSet) -> list[Mat
         members = list(pool)
         for a in frontier:
             for b in members:
-                for combined in (join_f(a, b, market), meet_f(a, b, market)):
+                pair = (a, b)
+                for combined in (_firm_pointing(pair, market), _worker_pointing(pair, market)):
                     if combined not in pool:
                         pool.add(combined)
                         fresh.append(combined)
@@ -201,11 +209,7 @@ def decompose_run(lottery: Lottery, stable_set: StableSet) -> DecompositionRun:
     market = stable_set.market
     merged = lottery.merged()
     for m in merged.matchings:
-        if m not in stable_set:
-            raise ValidationError(
-                "lottery term is not a stable matching of this market",
-                code="not-in-stable-set",
-            )
+        stable_set.index(m)  # raises not-in-stable-set
 
     pool = _closed_pool(merged.matchings, stable_set)
     residual = merged.expectation()
@@ -214,7 +218,7 @@ def decompose_run(lottery: Lottery, stable_set: StableSet) -> DecompositionRun:
     terms: list[tuple[Fraction, Matching]] = []
 
     while pool:
-        best = multi_join_f(pool, market)
+        best = _firm_pointing(pool, market)
         matched_cells = [
             (i, j)
             for i, mask in enumerate(best.firm_masks)
@@ -306,20 +310,11 @@ class SplitAlignment:
     def __len__(self) -> int:
         return len(self.gamma)
 
-    def _aggregate(self, matchings: tuple[Matching, ...]) -> Lottery:
-        terms: list[tuple[Fraction, Matching]] = []
-        for g, m in zip(self.gamma, matchings):
-            if terms and terms[-1][1] == m:
-                terms[-1] = (terms[-1][0] + g, m)
-            else:
-                terms.append((g, m))
-        return Lottery(tuple(terms))
-
     def left_lottery(self) -> Lottery:
-        return self._aggregate(self.left)
+        return _merge_runs(self.gamma, self.left)
 
     def right_lottery(self) -> Lottery:
-        return self._aggregate(self.right)
+        return _merge_runs(self.gamma, self.right)
 
 
 def split(x: Lottery, y: Lottery, market: Market) -> SplitAlignment:
@@ -330,10 +325,7 @@ def split(x: Lottery, y: Lottery, market: Market) -> SplitAlignment:
     breakpoints and carries the matching whose input term spans it.  The
     output has at most ``len(x) + len(y) - 1`` terms.
     """
-    _require_decreasing(x, market, "first lottery")
-    _require_decreasing(y, market, "second lottery")
-    if x.shape != y.shape:
-        raise ValidationError("lotteries come from different markets", code="mismatched-market")
+    _require_decreasing_pair(x, y, market)
 
     cum_x = list(accumulate(x.weights))
     cum_y = list(accumulate(y.weights))
@@ -359,10 +351,7 @@ def lcm_refine(x: Lottery, y: Lottery, market: Market) -> SplitAlignment:
     slices.  Termwise joins or meets over this alignment agree with the ones
     computed over :func:`split`.
     """
-    _require_decreasing(x, market, "first lottery")
-    _require_decreasing(y, market, "second lottery")
-    if x.shape != y.shape:
-        raise ValidationError("lotteries come from different markets", code="mismatched-market")
+    _require_decreasing_pair(x, y, market)
 
     slices = math.lcm(*(w.denominator for w in x.weights + y.weights))
     unit = Fraction(1, slices)
@@ -469,23 +458,17 @@ def split_dominates(x: Lottery, y: Lottery, stable_set: StableSet, side: Side) -
 def _combine_termwise(
     alignment: SplitAlignment, side: Side, take_join: bool, stable_set: StableSet
 ) -> Lottery:
+    """Point termwise; the firm-side join is the worker-side meet and vice versa."""
     market = stable_set.market
-    if side is Side.FIRMS:
-        op = join_f if take_join else meet_f
-    else:
-        op = meet_f if take_join else join_f
-    terms: list[tuple[Fraction, Matching]] = []
-    for g, a, b in zip(alignment.gamma, alignment.left, alignment.right):
-        combined = op(a, b, market)
-        if terms and terms[-1][1] == combined:
-            terms[-1] = (terms[-1][0] + g, combined)
-        else:
-            terms.append((g, combined))
-    result = Lottery(tuple(terms))
+    point = _firm_pointing if take_join == (side is Side.FIRMS) else _worker_pointing
+    combined = [point(pair, market) for pair in zip(alignment.left, alignment.right)]
+    result = _merge_runs(alignment.gamma, combined)
+    for matching in result.matchings:
+        stable_set.index(matching)  # raises not-in-stable-set
     if not is_decreasing(result, market):
         # Termwise combination of two decreasing chains is monotone, so this
-        # only triggers on an internal inconsistency; renormalise anyway.
-        result = decompose(result, stable_set)
+        # only happens when the stable set or the market is inconsistent.
+        raise ValidationError("termwise combination is not in decreasing form", code="not-canonical")
     return result
 
 

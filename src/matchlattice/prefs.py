@@ -271,10 +271,6 @@ def substitutability_violation(
     return None
 
 
-def is_substitutable(pref: Preference) -> bool:
-    return substitutability_violation(pref) is None
-
-
 def lad_violation(pref: Preference) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """Search all subset pairs for a law-of-aggregated-demand failure.
 
@@ -292,10 +288,6 @@ def lad_violation(pref: Preference) -> Optional[tuple[frozenset[int], frozenset[
                 break
             sub = (sub - 1) & offer
     return None
-
-
-def satisfies_lad(pref: Preference) -> bool:
-    return lad_violation(pref) is None
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from matchlattice import parse_lottery, parse_market
 from matchlattice.cli import main
 from conftest import DATA_DIR
@@ -148,8 +150,42 @@ class TestRht:
         assert "y column sums: 2 2 2 2" in out
         assert "rural-hospital equality: yes" in out
 
+    def test_lottery_outside_the_stable_set_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps({"terms": [{"weight": "1", "matching": {"f1": ["w1"]}}]}))
+        code, out, err = run(capsys, "rht", MARKET, X, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error[not-in-stable-set]")
+        assert f"{path}: $.terms[0].matching" in err
+
+
+MALFORMED_LOTTERIES = {
+    "decimal-weight": '{"terms": [{"weight": "0.5", "matching": {}}, {"weight": "1/2", "matching": {}}]}',
+    "spaced-exponent-weight": '{"terms": [{"weight": " 5e-1 ", "matching": {}}, {"weight": "1/2", "matching": {}}]}',
+    "repeated-worker": '{"terms": [{"weight": "1", "matching": {"f1": ["w1", "w1"]}}]}',
+    "duplicate-key": '{"terms": [{"weight": "1", "matching": {"f1": ["w1"], "f1": ["w2"]}}]}',
+}
+
 
 class TestErrors:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LOTTERIES))
+    def test_malformed_lottery_exits_two_with_path(self, capsys, tmp_path, case):
+        path = tmp_path / f"{case}.json"
+        path.write_text(MALFORMED_LOTTERIES[case])
+        code, _, err = run(capsys, "decompose", MARKET, str(path))
+        assert code == 2
+        assert err.startswith("error[") and "]: $.terms[0]" in err
+
+    def test_boolean_quota_exits_two_with_path(self, capsys, tmp_path):
+        market = json.loads(Path(MARKET).read_text())
+        market["preferences"]["w1"] = {"responsive": {"quota": True, "priority": ["f1"]}}
+        path = tmp_path / "quota.json"
+        path.write_text(json.dumps(market))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert err.startswith("error[schema]: $.preferences.w1.responsive.quota:")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "enumerate", "/nonexistent/market.json")
         assert code == 2

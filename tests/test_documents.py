@@ -14,11 +14,11 @@ from matchlattice import (
     dump_market,
     enumerate_stable,
     generate_responsive_market,
-    is_substitutable,
     parse_lottery,
     parse_market,
+    lad_violation,
     profile_violations,
-    satisfies_lad,
+    substitutability_violation,
 )
 from conftest import DATA_DIR
 
@@ -28,10 +28,14 @@ def example_doc():
     return parse_market((DATA_DIR / "example_market.json").read_bytes())
 
 
-def error_code(callable_, *args):
+def error_of(callable_, *args) -> ValidationError:
     with pytest.raises(ValidationError) as info:
         callable_(*args)
-    return info.value.code
+    return info.value
+
+
+def error_code(callable_, *args):
+    return error_of(callable_, *args).code
 
 
 class TestParseMarket:
@@ -56,6 +60,9 @@ class TestParseMarket:
 
     def test_malformed_json(self):
         assert error_code(parse_market, b"{not json") == "malformed-json"
+
+    def test_bytes_that_are_not_utf8(self):
+        assert error_code(parse_market, b"\xff\xfe{}") == "malformed-json"
 
     def test_missing_key(self):
         assert error_code(parse_market, json.dumps({"firms": []})) == "schema"
@@ -111,6 +118,29 @@ class TestParseMarket:
         assert isinstance(market.firm_prefs[0], ResponsivePreference)
         assert market.firm_prefs[0].priority == (1, 0)
 
+    def test_boolean_quota_rejected(self):
+        doc = {
+            "firms": ["f1"],
+            "workers": ["w1"],
+            "preferences": {
+                "f1": {"responsive": {"quota": True, "priority": ["w1"]}},
+                "w1": {"ranked": [["f1"]]},
+            },
+        }
+        error = error_of(parse_market, json.dumps(doc))
+        assert error.code == "schema"
+        assert str(error).startswith("$.preferences.f1.responsive.quota:")
+
+    def test_duplicate_key_rejected(self):
+        text = (
+            '{"firms": ["f1"], "workers": ["w1"], "preferences": '
+            '{"f1": {"ranked": [["w1"]]}, "w1": {"ranked": [["f1"]]}, "f1": {"ranked": []}}}'
+        )
+        error = error_of(parse_market, text)
+        assert error.code == "duplicate-key"
+        assert str(error).startswith("$.preferences:")
+        assert "'f1'" in str(error)
+
 
 class TestParseLottery:
     def test_reference_lottery_expectation(self, example_doc):
@@ -136,6 +166,31 @@ class TestParseLottery:
         assert error_code(parse_lottery, json.dumps(doc), example_doc) == "bad-weight"
         doc = {"terms": [{"weight": "half", "matching": {}}]}
         assert error_code(parse_lottery, json.dumps(doc), example_doc) == "bad-weight"
+
+    @pytest.mark.parametrize("weight", ["0.5", " 5e-1 ", "1/2 ", "+1/2", "-1/2", "1/0", "1_0/20", ""])
+    def test_weight_must_read_n_or_n_over_d(self, example_doc, weight):
+        doc = {"terms": [{"weight": weight, "matching": {}}, {"weight": "1/2", "matching": {}}]}
+        error = error_of(parse_lottery, json.dumps(doc), example_doc)
+        assert error.code == "bad-weight"
+        assert str(error).startswith("$.terms[0].weight:")
+
+    def test_integer_and_unreduced_weights_accepted(self, example_doc):
+        doc = {"terms": [{"weight": "2/4", "matching": {}}, {"weight": "1/2", "matching": {}}]}
+        assert parse_lottery(json.dumps(doc), example_doc).weights == (Fraction(1, 2),) * 2
+        doc = {"terms": [{"weight": "1", "matching": {}}]}
+        assert parse_lottery(json.dumps(doc), example_doc).weights == (Fraction(1),)
+
+    def test_repeated_worker_rejected(self, example_doc):
+        doc = {"terms": [{"weight": "1", "matching": {"f1": ["w1", "w2", "w1"]}}]}
+        error = error_of(parse_lottery, json.dumps(doc), example_doc)
+        assert error.code == "schema"
+        assert str(error).startswith("$.terms[0].matching.f1:")
+
+    def test_duplicate_key_rejected(self, example_doc):
+        text = '{"terms": [{"weight": "1/2", "matching": {}, "weight": "1"}]}'
+        error = error_of(parse_lottery, text, example_doc)
+        assert error.code == "duplicate-key"
+        assert str(error).startswith("$.terms[0]:")
 
     def test_unknown_firm_or_worker(self, example_doc):
         doc = {"terms": [{"weight": "1", "matching": {"f9": ["w1"]}}]}
@@ -163,8 +218,8 @@ class TestGenerator:
     def test_axioms_hold_by_construction(self):
         market = generate_responsive_market(0, 3, 3, 2).build_market()
         for pref in market.firm_prefs + market.worker_prefs:
-            assert is_substitutable(pref)
-            assert satisfies_lad(pref)
+            assert substitutability_violation(pref) is None
+            assert lad_violation(pref) is None
         assert profile_violations(market) == []
 
     def test_small_market_has_stable_matchings(self):

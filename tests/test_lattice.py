@@ -22,9 +22,7 @@ from matchlattice import (
     enumerate_stable,
     hasse_edges,
     join_f,
-    join_w,
     meet_f,
-    meet_w,
     multi_join_f,
     multi_meet_f,
     rht_check,
@@ -193,11 +191,6 @@ class TestJoinMeet:
                 a, meet_f(b, c, example_market), example_market
             )
 
-    def test_duality_of_the_four_names(self, example_market, example_stable):
-        for a, b in itertools.product(example_stable, repeat=2):
-            assert join_f(a, b, example_market) == meet_w(a, b, example_market)
-            assert join_w(a, b, example_market) == meet_f(a, b, example_market)
-
     def test_join_is_least_upper_bound_by_exhaustive_scan(self, example_market, example_stable):
         for a, b in itertools.product(example_stable, repeat=2):
             top = join_f(a, b, example_market)
@@ -225,11 +218,34 @@ class TestJoinMeet:
             top = join_f(a, b, example_market)
             assert worker_at_least_oracle(a, top, example_market)
             assert worker_at_least_oracle(b, top, example_market)
+            for other in example_stable:
+                if worker_at_least_oracle(a, other, example_market) and worker_at_least_oracle(
+                    b, other, example_market
+                ):
+                    assert worker_at_least_oracle(top, other, example_market)
+
+    def test_firm_meet_is_worker_least_upper_bound(self, example_market, example_stable):
+        for a, b in itertools.product(example_stable, repeat=2):
+            bottom = meet_f(a, b, example_market)
+            assert worker_at_least_oracle(bottom, a, example_market)
+            assert worker_at_least_oracle(bottom, b, example_market)
+            for other in example_stable:
+                if worker_at_least_oracle(other, a, example_market) and worker_at_least_oracle(
+                    other, b, example_market
+                ):
+                    assert worker_at_least_oracle(other, bottom, example_market)
 
     def test_unstable_input_rejected(self, example_market, nus):
         unstable = Matching.from_firm_sets(4, [{0, 3}, (), (), ()])
-        with pytest.raises(ValidationError):
-            join_f(unstable, nus[0], example_market)
+        for call in (
+            lambda: join_f(unstable, nus[0], example_market),
+            lambda: meet_f(nus[0], unstable, example_market),
+            lambda: multi_join_f([nus[1], unstable], example_market),
+            lambda: multi_meet_f([unstable], example_market),
+        ):
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert info.value.code == "not-stable"
 
 
 class TestMultiJoinMeet:

@@ -13,7 +13,10 @@ from matchlattice import (
     Matching,
     RankedPreference,
     Side,
+    SplitAlignment,
+    StableSet,
     ValidationError,
+    compare_firms,
     decompose,
     decompose_run,
     dominates,
@@ -26,6 +29,7 @@ from matchlattice import (
     split,
     split_dominates,
 )
+from matchlattice.lotteries import _combine_termwise
 from oracles import expectation_oracle, weak_dominance_oracle
 
 
@@ -321,6 +325,36 @@ class TestJoinMeetRandom:
         foreign = Lottery.degenerate(Matching.from_edges(4, 4, [(i, i) for i in range(4)]))
         with pytest.raises(ValidationError):
             join_random(canonical_x, foreign, example_stable, Side.FIRMS)
+
+    def test_combined_term_outside_the_stable_set_rejected(self, example_market, nus):
+        # A stable set built by hand from the two incomparable middles only:
+        # their join is nu1 and their meet nu4, neither of which it holds.
+        middles = (nus[1], nus[2])
+        table = tuple(tuple(compare_firms(a, b, example_market) for b in middles) for a in middles)
+        partial = StableSet(example_market, middles, table)
+        x, y = Lottery.degenerate(nus[1]), Lottery.degenerate(nus[2])
+        for combine, side in (
+            (join_random, Side.FIRMS),
+            (meet_random, Side.FIRMS),
+            (join_random, Side.WORKERS),
+            (meet_random, Side.WORKERS),
+        ):
+            for method in ("split", "lcm"):
+                with pytest.raises(ValidationError) as info:
+                    combine(x, y, partial, side, method=method)
+                assert info.value.code == "not-in-stable-set"
+        with pytest.raises(ValidationError) as info:
+            decompose(lottery(("1/2", nus[1]), ("1/2", nus[2])), partial)
+        assert info.value.code == "not-in-stable-set"
+
+    def test_termwise_result_that_is_not_decreasing_raises(self, example_stable, nus):
+        # Only an inconsistent alignment can produce this; it is an error,
+        # never silently re-decomposed.
+        rising = SplitAlignment(fr("1/2 1/2"), (nus[3], nus[0]), (nus[3], nus[0]))
+        for take_join in (True, False):
+            with pytest.raises(ValidationError) as info:
+                _combine_termwise(rising, Side.FIRMS, take_join, example_stable)
+            assert info.value.code == "not-canonical"
 
 
 class TestLcmRefine:

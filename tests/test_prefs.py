@@ -13,11 +13,9 @@ from matchlattice import (
     SetComparison,
     Side,
     ValidationError,
-    is_substitutable,
     lad_violation,
     profile_violations,
     responsive_to_ranked,
-    satisfies_lad,
     substitutability_violation,
 )
 from oracles import choice_oracle, powerset, prefers_oracle
@@ -149,16 +147,16 @@ class TestCompare:
 class TestAxioms:
     def test_example_profile_passes_both_axioms(self, example_market):
         for pref in example_market.firm_prefs + example_market.worker_prefs:
-            assert is_substitutable(pref)
-            assert satisfies_lad(pref)
+            assert substitutability_violation(pref) is None
+            assert lad_violation(pref) is None
         assert profile_violations(example_market) == []
 
     def test_responsive_always_passes(self):
         rng = random.Random(8)
         for _ in range(15):
             pref = responsive(rng.randint(0, 4), rng.sample(range(4), rng.randint(0, 4)))
-            assert is_substitutable(pref)
-            assert satisfies_lad(pref)
+            assert substitutability_violation(pref) is None
+            assert lad_violation(pref) is None
 
     def test_substitutability_failure_with_witness(self):
         pref = ranked([(0, 1), (2,), (0,), (1,)], n=3)
@@ -180,9 +178,9 @@ class TestAxioms:
     def test_guard_refuses_large_opposite_side(self):
         pref = responsive(1, [0], n=17)
         with pytest.raises(CapacityError):
-            is_substitutable(pref)
+            substitutability_violation(pref)
         with pytest.raises(CapacityError):
-            satisfies_lad(pref)
+            lad_violation(pref)
 
 
 class TestValidation:
