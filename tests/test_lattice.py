@@ -191,6 +191,23 @@ class TestJoinMeet:
                 a, meet_f(b, c, example_market), example_market
             )
 
+    def test_duality_of_the_four_names(self, example_market, example_stable):
+        # The firm join is the worker meet and the firm meet the worker join:
+        # on the stable set the workers' order is the firms' order reversed.
+        ms = list(example_stable)
+        for a, b in itertools.product(ms, repeat=2):
+            assert compare_workers(a, b, example_market) == compare_firms(a, b, example_market).flipped
+            below = [m for m in ms if compare_workers(a, m, example_market).at_least
+                     and compare_workers(b, m, example_market).at_least]
+            above = [m for m in ms if compare_workers(m, a, example_market).at_least
+                     and compare_workers(m, b, example_market).at_least]
+            worker_meet = [m for m in below
+                           if all(compare_workers(m, o, example_market).at_least for o in below)]
+            worker_join = [m for m in above
+                           if all(compare_workers(o, m, example_market).at_least for o in above)]
+            assert worker_meet == [join_f(a, b, example_market)]
+            assert worker_join == [meet_f(a, b, example_market)]
+
     def test_join_is_least_upper_bound_by_exhaustive_scan(self, example_market, example_stable):
         for a, b in itertools.product(example_stable, repeat=2):
             top = join_f(a, b, example_market)
