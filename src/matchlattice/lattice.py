@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from typing import Iterable
 
 from .errors import AxiomError, CapacityError, ValidationError
@@ -124,7 +125,7 @@ def multi_join_f(matchings: Iterable[Matching], market: Market) -> Matching:
     the worker-side meet, and equals the fold of pairwise joins in any order.
 
     Every member is checked for stability first; the lottery algebra, whose
-    inputs are already stable-set members, points directly instead.
+    inputs are already stable-set members, uses :meth:`StableSet.join`.
     """
     return _firm_pointing(_stable_family(matchings, market, "join"), market)
 
@@ -152,13 +153,16 @@ class StableSet:
     ``matchings`` is sorted by firm-assignment encoding, so the listing is
     deterministic.  ``firm_table[i][j]`` compares matching ``i`` against
     matching ``j`` in the firms' common partial order; the table is cached
-    here because every lottery-level algorithm queries it heavily.
+    here because every lottery-level algorithm queries it heavily.  Each
+    pair's join and meet is pointed on once, when first asked for, and kept.
     """
 
     market: Market
     matchings: tuple[Matching, ...]
     firm_table: tuple[tuple[Cmp, ...], ...]
     _positions: dict = field(init=False, compare=False, repr=False)
+    _joins: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+    _meets: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "_positions", {m: i for i, m in enumerate(self.matchings)})
@@ -189,22 +193,27 @@ class StableSet:
     def cmp_f(self, i: int, j: int) -> Cmp:
         return self.firm_table[i][j]
 
-    def compare(self, m1: Matching, m2: Matching) -> Cmp:
-        return self.firm_table[self.index(m1)][self.index(m2)]
+    def join(self, i: int, j: int) -> int:
+        """Position of the firm-side join (the workers' meet) of members i and j."""
+        return self._combine(self._joins, _firm_pointing, i, j)
+
+    def meet(self, i: int, j: int) -> int:
+        """Position of the firm-side meet (the workers' join) of members i and j."""
+        return self._combine(self._meets, _worker_pointing, i, j)
+
+    def _combine(self, memo: dict, point, i: int, j: int) -> int:
+        key = (i, j) if i < j else (j, i)
+        if key not in memo:
+            memo[key] = self.index(point((self.matchings[i], self.matchings[j]), self.market))
+        return memo[key]
 
     @property
     def firm_optimal(self) -> Matching:
-        for i, row in enumerate(self.firm_table):
-            if all(c.at_least for c in row):
-                return self.matchings[i]
-        raise ValidationError("stable set has no firm-side maximum")
+        return self.matchings[reduce(self.join, range(len(self)))]
 
     @property
     def firm_pessimal(self) -> Matching:
-        for i, row in enumerate(self.firm_table):
-            if all(c.flipped.at_least for c in row):
-                return self.matchings[i]
-        raise ValidationError("stable set has no firm-side minimum")
+        return self.matchings[reduce(self.meet, range(len(self)))]
 
 
 def _individually_rational_rows(pref, n_opposite: int) -> list[int]:

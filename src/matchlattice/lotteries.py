@@ -30,11 +30,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from typing import Iterable, Union
 
 from .errors import ValidationError
-from .lattice import Cmp, StableSet, _firm_pointing, _worker_pointing, compare_side
+from .lattice import Cmp, StableSet, compare_side
 from .matchings import Matching, RationalMatrix, ZERO, ONE
 from .prefs import AgentId, Market, Preference, SetComparison, Side, mask_subset
 
@@ -87,14 +88,6 @@ class Lottery:
     def shape(self) -> tuple[int, int]:
         return self.terms[0][1].shape
 
-    def support(self) -> tuple[Matching, ...]:
-        """Distinct matchings, in first-appearance order."""
-        seen = []
-        for _, m in self.terms:
-            if m not in seen:
-                seen.append(m)
-        return tuple(seen)
-
     def merged(self) -> "Lottery":
         """Aggregate repeated matchings into single terms."""
         order = []
@@ -131,24 +124,24 @@ def is_decreasing(lottery: Lottery, market: Market) -> bool:
 
 
 def _require_decreasing_pair(x: Lottery, y: Lottery, market: Market) -> None:
+    if x.shape != market.shape or y.shape != market.shape:
+        raise ValidationError("lotteries are not over this market", code="mismatched-market")
     for name, lottery in (("first lottery", x), ("second lottery", y)):
         if not is_decreasing(lottery, market):
             raise ValidationError(
                 f"{name} is not in decreasing form; run decompose first", code="not-canonical"
             )
-    if x.shape != y.shape:
-        raise ValidationError("lotteries come from different markets", code="mismatched-market")
 
 
-def _merge_runs(gamma: Iterable[Fraction], matchings: Iterable[Matching]) -> Lottery:
-    """The lottery of aligned weights, equal consecutive matchings merged."""
-    terms: list[tuple[Fraction, Matching]] = []
-    for g, m in zip(gamma, matchings):
-        if terms and terms[-1][1] == m:
-            terms[-1] = (terms[-1][0] + g, m)
+def _merge_runs(gamma: Iterable[Fraction], items: Iterable) -> tuple[tuple[Fraction, object], ...]:
+    """Aligned weights paired with their items, equal consecutive items merged."""
+    terms: list[tuple[Fraction, object]] = []
+    for g, item in zip(gamma, items):
+        if terms and terms[-1][1] == item:
+            terms[-1] = (terms[-1][0] + g, item)
         else:
-            terms.append((g, m))
-    return Lottery(tuple(terms))
+            terms.append((g, item))
+    return tuple(terms)
 
 
 @dataclass(frozen=True)
@@ -180,14 +173,13 @@ class DecompositionRun:
     result: Lottery
 
 
-def _closed_pool(support: Iterable[Matching], stable_set: StableSet) -> list[Matching]:
-    """Close the support under pairwise joins and meets, to a fixpoint.
+def _closed_pool(support: Iterable[int], stable_set: StableSet) -> list[int]:
+    """Close a set of stable-set positions under pairwise joins and meets,
+    to a fixpoint, and list it in position order.
 
     By associativity this equals throwing in the join and the meet of every
-    sub-family; the fixpoint stays inside the (finite) stable set.  Sorting
-    by stable-set position keeps runs deterministic and rejects non-members.
+    sub-family; the fixpoint stays inside the (finite) stable set.
     """
-    market = stable_set.market
     pool = set(support)
     frontier = list(pool)
     while frontier:
@@ -195,30 +187,27 @@ def _closed_pool(support: Iterable[Matching], stable_set: StableSet) -> list[Mat
         members = list(pool)
         for a in frontier:
             for b in members:
-                pair = (a, b)
-                for combined in (_firm_pointing(pair, market), _worker_pointing(pair, market)):
+                for combined in (stable_set.join(a, b), stable_set.meet(a, b)):
                     if combined not in pool:
                         pool.add(combined)
                         fresh.append(combined)
         frontier = fresh
-    return sorted(pool, key=stable_set.index)
+    return sorted(pool)
 
 
 def decompose_run(lottery: Lottery, stable_set: StableSet) -> DecompositionRun:
     """Decompose with a full per-step trace (see :func:`decompose`)."""
-    market = stable_set.market
     merged = lottery.merged()
-    for m in merged.matchings:
-        stable_set.index(m)  # raises not-in-stable-set
-
-    pool = _closed_pool(merged.matchings, stable_set)
+    # Looking the terms up is the membership check: raises not-in-stable-set.
+    pool = _closed_pool(map(stable_set.index, merged.matchings), stable_set)
     residual = merged.expectation()
     mass_left = ONE  # product of (1 - share) over finished steps
     steps: list[DecompositionStep] = []
     terms: list[tuple[Fraction, Matching]] = []
 
     while pool:
-        best = _firm_pointing(pool, market)
+        members = tuple(stable_set[k] for k in pool)
+        best = stable_set[reduce(stable_set.join, pool)]
         matched_cells = [
             (i, j)
             for i, mask in enumerate(best.firm_masks)
@@ -231,19 +220,19 @@ def decompose_run(lottery: Lottery, stable_set: StableSet) -> DecompositionRun:
                 (i, j) for i, j in matched_cells if residual.entry(i, j) == share
             )
             removed = tuple(
-                m for m in pool if any(m.firm_masks[i] >> j & 1 for i, j in tight)
+                m for m in members if any(m.firm_masks[i] >> j & 1 for i, j in tight)
             )
         else:
             # Everyone in the pool is the all-unmatched matching: equal
             # partner counts force pool == {best}, so consume it whole.
             share = ONE
             tight = frozenset()
-            removed = tuple(pool)
+            removed = members
 
         steps.append(
             DecompositionStep(
                 index=len(steps) + 1,
-                pool=tuple(pool),
+                pool=members,
                 residual=residual,
                 best=best,
                 share=share,
@@ -254,7 +243,7 @@ def decompose_run(lottery: Lottery, stable_set: StableSet) -> DecompositionRun:
         terms.append((mass_left * share, best))
 
         dropped = set(removed)
-        pool = [m for m in pool if m not in dropped]
+        pool = [k for k, m in zip(pool, members) if m not in dropped]
         if pool:
             scale = 1 - share
             best_masks = best.firm_masks
@@ -311,10 +300,10 @@ class SplitAlignment:
         return len(self.gamma)
 
     def left_lottery(self) -> Lottery:
-        return _merge_runs(self.gamma, self.left)
+        return Lottery(_merge_runs(self.gamma, self.left))
 
     def right_lottery(self) -> Lottery:
-        return _merge_runs(self.gamma, self.right)
+        return Lottery(_merge_runs(self.gamma, self.right))
 
 
 def split(x: Lottery, y: Lottery, market: Market) -> SplitAlignment:
@@ -458,18 +447,19 @@ def split_dominates(x: Lottery, y: Lottery, stable_set: StableSet, side: Side) -
 def _combine_termwise(
     alignment: SplitAlignment, side: Side, take_join: bool, stable_set: StableSet
 ) -> Lottery:
-    """Point termwise; the firm-side join is the worker-side meet and vice versa."""
-    market = stable_set.market
-    point = _firm_pointing if take_join == (side is Side.FIRMS) else _worker_pointing
-    combined = [point(pair, market) for pair in zip(alignment.left, alignment.right)]
-    result = _merge_runs(alignment.gamma, combined)
-    for matching in result.matchings:
-        stable_set.index(matching)  # raises not-in-stable-set
-    if not is_decreasing(result, market):
+    """Combine termwise by stable-set position; the firm-side join is the
+    worker-side meet and vice versa."""
+    combine = stable_set.join if take_join == (side is Side.FIRMS) else stable_set.meet
+    index = stable_set.index
+    runs = _merge_runs(
+        alignment.gamma,
+        (combine(index(a), index(b)) for a, b in zip(alignment.left, alignment.right)),
+    )
+    if any(stable_set.cmp_f(a, b) is not Cmp.GREATER for (_, a), (_, b) in zip(runs, runs[1:])):
         # Termwise combination of two decreasing chains is monotone, so this
         # only happens when the stable set or the market is inconsistent.
         raise ValidationError("termwise combination is not in decreasing form", code="not-canonical")
-    return result
+    return Lottery(tuple((g, stable_set[k]) for g, k in runs))
 
 
 def _refined(x: Lottery, y: Lottery, stable_set: StableSet, method: str) -> SplitAlignment:

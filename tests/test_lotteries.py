@@ -29,6 +29,7 @@ from matchlattice import (
     split,
     split_dominates,
 )
+from matchlattice import lattice
 from matchlattice.lotteries import _combine_termwise
 from oracles import expectation_oracle, weak_dominance_oracle
 
@@ -53,6 +54,14 @@ X2_MATRIX = (
 
 def lottery(*pairs):
     return Lottery.from_pairs(pairs)
+
+
+def middles_only(market, nus):
+    """A stable set built by hand from the two incomparable middles nu2 and
+    nu3 only: their join is nu1 and their meet nu4, neither of which it holds."""
+    middles = (nus[1], nus[2])
+    table = tuple(tuple(compare_firms(a, b, market) for b in middles) for a in middles)
+    return StableSet(market, middles, table)
 
 
 class TestLotteryType:
@@ -327,11 +336,7 @@ class TestJoinMeetRandom:
             join_random(canonical_x, foreign, example_stable, Side.FIRMS)
 
     def test_combined_term_outside_the_stable_set_rejected(self, example_market, nus):
-        # A stable set built by hand from the two incomparable middles only:
-        # their join is nu1 and their meet nu4, neither of which it holds.
-        middles = (nus[1], nus[2])
-        table = tuple(tuple(compare_firms(a, b, example_market) for b in middles) for a in middles)
-        partial = StableSet(example_market, middles, table)
+        partial = middles_only(example_market, nus)
         x, y = Lottery.degenerate(nus[1]), Lottery.degenerate(nus[2])
         for combine, side in (
             (join_random, Side.FIRMS),
@@ -346,6 +351,55 @@ class TestJoinMeetRandom:
         with pytest.raises(ValidationError) as info:
             decompose(lottery(("1/2", nus[1]), ("1/2", nus[2])), partial)
         assert info.value.code == "not-in-stable-set"
+
+    def test_partial_stable_set_fails_only_where_a_missing_join_is_needed(
+        self, example_market, nus
+    ):
+        # Joins and meets are found when first needed, so a partial set
+        # still serves every operation that stays inside it.
+        partial = middles_only(example_market, nus)
+        x, y = Lottery.degenerate(nus[1]), Lottery.degenerate(nus[2])
+        assert decompose(x, partial) == x
+        assert decompose(y, partial) == y
+        for side in Side:
+            assert dominates(x, x, partial, side) is Dominance.EQUAL
+            assert dominates(x, y, partial, side) is Dominance.INCOMPARABLE
+        for needs_missing_member in (
+            lambda: partial.join(0, 1),
+            lambda: partial.meet(0, 1),
+            lambda: partial.firm_optimal,
+            lambda: partial.firm_pessimal,
+        ):
+            with pytest.raises(ValidationError) as info:
+                needs_missing_member()
+            assert info.value.code == "not-in-stable-set"
+
+    def test_lcm_join_points_each_pair_once(
+        self, monkeypatch, canonical_x, canonical_y, example_stable
+    ):
+        # The lcm alignment of the golden pair has 12 slices but only a few
+        # distinct pairs: each pointing kernel may see an unordered pair of
+        # members at most once, and repeating the join points on nothing.
+        expected = join_random(canonical_x, canonical_y, example_stable, Side.FIRMS, method="lcm")
+        fresh = StableSet(example_stable.market, example_stable.matchings, example_stable.firm_table)
+        pointed = {"_firm_pointing": [], "_worker_pointing": []}
+        for name, seen in pointed.items():
+            def counting(matchings, market, kernel=getattr(lattice, name), seen=seen):
+                matchings = tuple(matchings)
+                seen.append(frozenset(map(fresh.index, matchings)))
+                return kernel(matchings, market)
+
+            monkeypatch.setattr(lattice, name, counting)
+
+        assert join_random(canonical_x, canonical_y, fresh, Side.FIRMS, method="lcm") == expected
+        for name, seen in pointed.items():
+            assert seen, f"{name} was never reached through the lattice layer"
+            assert len(seen) == len(set(seen)), f"{name} pointed on a pair twice: {seen}"
+
+        for seen in pointed.values():
+            seen.clear()
+        assert join_random(canonical_x, canonical_y, fresh, Side.FIRMS, method="lcm") == expected
+        assert pointed == {"_firm_pointing": [], "_worker_pointing": []}
 
     def test_termwise_result_that_is_not_decreasing_raises(self, example_stable, nus):
         # Only an inconsistent alignment can produce this; it is an error,
@@ -377,6 +431,17 @@ class TestLcmRefine:
     def test_requires_decreasing_inputs(self, raw_x, canonical_y, example_market):
         with pytest.raises(ValidationError):
             lcm_refine(raw_x, canonical_y, example_market)
+
+    def test_foreign_market_rejected(self, canonical_x, example_market):
+        # Lotteries over a 2x2 market handed over with the golden 4x4 one.
+        small = [Matching.from_edges(2, 2, edges) for edges in ([(0, 0), (1, 1)], [(0, 1), (1, 0)])]
+        one_term = Lottery.degenerate(small[0])
+        two_terms = lottery(("1/2", small[0]), ("1/2", small[1]))
+        for refine in (split, lcm_refine):
+            for x, y in ((one_term, one_term), (two_terms, two_terms), (canonical_x, one_term)):
+                with pytest.raises(ValidationError) as info:
+                    refine(x, y, example_market)
+                assert info.value.code == "mismatched-market"
 
 
 class TestRandomRuralHospital:
