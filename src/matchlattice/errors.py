@@ -22,7 +22,8 @@ class ValidationError(MarketError):
 
 
 class CapacityError(MarketError):
-    """The instance exceeds a brute-force guard and will not be attempted."""
+    """The instance exceeds a size guard (enumeration or the exhaustive axiom
+    checks) and will not be attempted."""
 
 
 class AxiomError(MarketError):

@@ -1,9 +1,14 @@
 """The stable set and its deterministic lattice structure.
 
-Enumeration is brute force over firm-side assignments: each firm row ranges
-over its individually rational subsets and every combination is screened for
-worker rationality and blocking pairs.  At desk scale this exhaustive search
-is the trustworthy oracle, so no deferred-acceptance shortcut is attempted.
+Enumeration is bracketed by the two extremal stable matchings.  Deferred
+acceptance, run once with the firms proposing and once with the workers
+proposing, gives the firm-optimal and the worker-optimal stable matching.
+Every stable matching lies between the two in the firms' order, and by the
+rural hospital property gives each firm as many partners as the
+firm-optimal one, so each firm row ranges only over the individually
+rational subsets inside that bracket.  Every combination of the surviving
+rows is screened with :func:`~matchlattice.matchings.find_blocking`, the
+package's one definition of stability.
 
 Join and meet are computed by pointing functions.  The firm-side join of two
 stable matchings gives every firm its choice from the union of its two
@@ -216,21 +221,62 @@ class StableSet:
         return self.matchings[reduce(self.meet, range(len(self)))]
 
 
-def _individually_rational_rows(pref, n_opposite: int) -> list[int]:
-    return [mask for mask in range(1 << n_opposite) if pref.choice_mask(mask) == mask]
+def _deferred_acceptance(proposers, receivers) -> tuple[int, ...]:
+    """Proposer-optimal stable matching, as one mask of receivers per proposer.
+
+    Each proposer offers its choice among the receivers that have not yet
+    rejected it; each receiver keeps its choice among the offers and rejects
+    the rest.  Under substitutability a rejected offer is never part of a
+    stable matching, so when a round rejects nothing the offers are the
+    proposers' optimal stable matching (Roth 1984; Hatfield and Milgrom 2005).
+    """
+    available = [(1 << len(receivers)) - 1] * len(proposers)
+    while True:
+        offers = [pref.choice_mask(mask) for pref, mask in zip(proposers, available)]
+        received = [0] * len(receivers)
+        for i, mask in enumerate(offers):
+            for j in range(len(receivers)):
+                if mask >> j & 1:
+                    received[j] |= 1 << i
+        rejected = False
+        for j, pref in enumerate(receivers):
+            refused = received[j] & ~pref.choice_mask(received[j])
+            for i in range(len(proposers)):
+                if refused >> i & 1:
+                    available[i] &= ~(1 << j)
+                    rejected = True
+        if not rejected:
+            return tuple(offers)
+
+
+def _bracketed_rows(pref, n_opposite: int, top: int, bottom: int) -> list[int]:
+    """Individually rational rows of one firm that could sit in a stable
+    matching: as large as its firm-optimal row ``top``, no better than
+    ``top`` and no worse than its worker-optimal row ``bottom``."""
+    size = top.bit_count()
+    return [
+        mask
+        for mask in range(1 << n_opposite)
+        if mask.bit_count() == size
+        and pref.choice_mask(mask) == mask
+        and pref.choice_mask(top | mask) == top
+        and pref.choice_mask(mask | bottom) == mask
+    ]
 
 
 def enumerate_stable(market: Market) -> StableSet:
-    """Enumerate the full stable set by guarded brute force.
+    """Enumerate the full stable set between its two extremal matchings.
 
     Every preference must pass both axiom checks first; a violation is
     reported with its witness, since without the axioms the lattice
-    operations downstream are meaningless.
+    operations downstream are meaningless.  Deferred acceptance from each
+    side then brackets every firm's possible rows, and each combination of
+    bracketed rows is screened for stability.
     """
     cells = market.num_firms * market.num_workers
     if cells > ENUMERATION_GUARD:
         raise CapacityError(
-            f"enumeration is brute force and refuses markets with more than "
+            f"enumeration refuses markets with more than "
             f"{ENUMERATION_GUARD} firm-worker cells (got {cells})"
         )
     failures = profile_violations(market)
@@ -241,40 +287,19 @@ def enumerate_stable(market: Market) -> StableSet:
         )
 
     nf, nw = market.shape
-    firm_prefs = market.firm_prefs
-    worker_prefs = market.worker_prefs
-    rows_per_firm = [_individually_rational_rows(p, nw) for p in firm_prefs]
-
-    found = []
-    for rows in itertools.product(*rows_per_firm):
-        worker_masks = [0] * nw
-        for i, mask in enumerate(rows):
-            rest = mask
-            while rest:
-                low = rest & -rest
-                worker_masks[low.bit_length() - 1] |= 1 << i
-                rest ^= low
-        if any(
-            pref.choice_mask(worker_masks[j]) != worker_masks[j]
-            for j, pref in enumerate(worker_prefs)
-        ):
-            continue
-        blocked = False
-        for i, fpref in enumerate(firm_prefs):
-            fmask = rows[i]
-            for j in range(nw):
-                if fmask >> j & 1:
-                    continue
-                if not fpref.choice_mask(fmask | (1 << j)) >> j & 1:
-                    continue
-                if worker_prefs[j].choice_mask(worker_masks[j] | (1 << i)) >> i & 1:
-                    blocked = True
-                    break
-            if blocked:
-                break
-        if not blocked:
-            found.append(Matching(rows, nw))
-
+    top = _deferred_acceptance(market.firm_prefs, market.worker_prefs)
+    bottom = Matching.from_worker_masks(
+        nf, _deferred_acceptance(market.worker_prefs, market.firm_prefs)
+    ).firm_masks
+    rows_per_firm = [
+        _bracketed_rows(pref, nw, high, low)
+        for pref, high, low in zip(market.firm_prefs, top, bottom)
+    ]
+    found = [
+        m
+        for m in (Matching(rows, nw) for rows in itertools.product(*rows_per_firm))
+        if find_blocking(m, market) is None
+    ]
     found.sort(key=lambda m: m.firm_masks)
     table = tuple(
         tuple(compare_firms(a, b, market) for b in found) for a in found

@@ -3,16 +3,17 @@
 Everything here is written in a deliberately naive, frozenset-based style
 with no shared code paths into the package internals (which work on
 bitmasks): rank lists are scanned literally, stability enumerates every
-agent and every pair, and the stable set is recomputed from all 2^(F*W)
-edge subsets.
+agent and every pair, and the stable set is recomputed either from all
+2^(F*W) edge subsets or from the product of every firm's individually
+rational rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
-from matchlattice import Market, Matching, RankedPreference, ResponsivePreference
+from matchlattice import Cmp, Market, Matching, RankedPreference, ResponsivePreference
 
 
 def powerset(items):
@@ -80,6 +81,40 @@ def enumerate_oracle(market: Market) -> set[Matching]:
         if stable_oracle(candidate, market):
             found.add(candidate)
     return found
+
+
+def enumerate_product_oracle(market: Market) -> list[Matching]:
+    """All stable matchings, sorted by firm-assignment encoding, from the
+    product of every firm's individually rational rows: each firm ranges
+    over the subsets it would keep whole, and every combination is screened
+    with the stability oracle."""
+    _, nw = market.shape
+    rows_per_firm = [
+        [row for row in map(frozenset, powerset(range(nw))) if choice_oracle(pref, row) == row]
+        for pref in market.firm_prefs
+    ]
+    found = [
+        candidate
+        for candidate in (Matching.from_firm_sets(nw, rows) for rows in product(*rows_per_firm))
+        if stable_oracle(candidate, market)
+    ]
+    return sorted(found, key=lambda m: m.firm_masks)
+
+
+def firm_table_oracle(matchings, market: Market) -> tuple[tuple[Cmp, ...], ...]:
+    """The firms' order on ``matchings`` as a table of :class:`Cmp`, read
+    off the literal choice criterion in both directions."""
+    def relation(a, b):
+        up, down = firm_at_least_oracle(a, b, market), firm_at_least_oracle(b, a, market)
+        if up and down:
+            return Cmp.EQUAL
+        if up:
+            return Cmp.GREATER
+        if down:
+            return Cmp.LESS
+        return Cmp.INCOMPARABLE
+
+    return tuple(tuple(relation(a, b) for b in matchings) for a in matchings)
 
 
 def firm_at_least_oracle(m1: Matching, m2: Matching, market: Market) -> bool:

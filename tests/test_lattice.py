@@ -3,6 +3,7 @@ join/meet operations."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -28,9 +29,14 @@ from matchlattice import (
     rht_check,
     to_dot,
 )
+from matchlattice.lattice import _deferred_acceptance
 from oracles import (
+    choice_oracle,
     enumerate_oracle,
+    enumerate_product_oracle,
     firm_at_least_oracle,
+    firm_table_oracle,
+    powerset,
     stable_oracle,
     worker_at_least_oracle,
 )
@@ -54,6 +60,42 @@ def small_rotation_market():
             ResponsivePreference(AgentId(Side.WORKERS, j), 3, 1, rot([2, 1, 0], j))
             for j in range(3)
         ),
+    )
+
+
+def responsive_market(seed, size, quota):
+    """Every agent accepts everyone, with one quota and seeded priorities.
+    Quota ``size`` makes every subset individually rational (the full-IR
+    market, 2^(size*size) firm-side products); quota 2 at size 5 gives each
+    firm 1 + 5 + 10 = 16 rows, 16^5 = 1,048,576 products."""
+    rng = random.Random(seed)
+    return Market(
+        tuple(
+            ResponsivePreference(AgentId(Side.FIRMS, i), size, quota, rng.sample(range(size), size))
+            for i in range(size)
+        ),
+        tuple(
+            ResponsivePreference(AgentId(Side.WORKERS, j), size, quota, rng.sample(range(size), size))
+            for j in range(size)
+        ),
+    )
+
+
+def block_diagonal_market(sizes=(3, 2)):
+    """Disjoint cyclic Latin blocks with quota 1.  In an n-block firm i ranks
+    workers i, i+1, ... and worker j ranks firms j+1, j+2, ..., j (mod n), so
+    each block has its n diagonal matchings as stable matchings; nobody
+    accepts a partner outside its block, so the market's stable set is the
+    product of the blocks' stable sets."""
+    firms, workers, start = [], [], 0
+    for n in sizes:
+        for i in range(n):
+            firms.append([start + (i + k) % n for k in range(n)])
+            workers.append([start + (i + 1 + k) % n for k in range(n)])
+        start += n
+    return Market(
+        tuple(ResponsivePreference(AgentId(Side.FIRMS, i), start, 1, p) for i, p in enumerate(firms)),
+        tuple(ResponsivePreference(AgentId(Side.WORKERS, j), start, 1, p) for j, p in enumerate(workers)),
     )
 
 
@@ -108,6 +150,64 @@ class TestEnumerate:
         assert outsider not in example_stable
         with pytest.raises(ValidationError):
             example_stable.index(outsider)
+
+
+class TestBracketedEnumeration:
+    """Enumeration between the two deferred-acceptance matchings against the
+    unpruned product of individually rational rows."""
+
+    def test_corpus_matches_product_oracle(self, corpus):
+        for case in corpus:
+            assert list(case.stable) == enumerate_product_oracle(case.market), case.seed
+
+    @pytest.mark.parametrize(
+        "build, size",
+        [(None, 16), (lambda: responsive_market(0, 4, 4), 1), (block_diagonal_market, 6)],
+        ids=["golden", "full-ir-4x4", "block-3+2"],
+    )
+    def test_order_and_table_match_product_oracle(self, example_market, build, size):
+        market = example_market if build is None else build()
+        stable = enumerate_stable(market)
+        expected = enumerate_product_oracle(market)
+        assert len(expected) == size
+        assert list(stable.matchings) == expected
+        assert stable.firm_table == firm_table_oracle(expected, market)
+
+    @staticmethod
+    def _extremes(market):
+        nf, nw = market.shape
+        firm_side = Matching(_deferred_acceptance(market.firm_prefs, market.worker_prefs), nw)
+        worker_side = Matching.from_worker_masks(
+            nf, _deferred_acceptance(market.worker_prefs, market.firm_prefs)
+        )
+        return firm_side, worker_side
+
+    def test_deferred_acceptance_gives_the_extremes_on_golden(self, example_market, example_stable, nus):
+        firm_side, worker_side = self._extremes(example_market)
+        assert firm_side == example_stable.firm_optimal == nus[0]
+        assert worker_side == example_stable.firm_pessimal == nus[3]
+
+    def test_deferred_acceptance_gives_the_extremes_on_corpus(self, corpus):
+        for case in corpus:
+            firm_side, worker_side = self._extremes(case.market)
+            assert firm_side == case.stable.firm_optimal, case.seed
+            assert worker_side == case.stable.firm_pessimal, case.seed
+
+    def test_five_by_five_quota_two_market_enumerates_quickly(self):
+        market = responsive_market(32, 5, 2)  # a seed with a five-element stable set
+        for pref in market.firm_prefs:
+            rows = [row for row in map(frozenset, powerset(range(5))) if choice_oracle(pref, row) == row]
+            assert len(rows) == 16
+        start = time.perf_counter()
+        stable = enumerate_stable(market)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"enumeration took {elapsed:.2f} s"
+        assert len(stable) == 5
+        for m in stable:
+            assert stable_oracle(m, market)
+        for a, b in itertools.product(stable, repeat=2):
+            assert join_f(a, b, market) in stable
+            assert meet_f(a, b, market) in stable
 
 
 class TestFirmOrder:
