@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import ValidationError
-from .lotteries import Lottery
+from .lotteries import _WEIGHT, Lottery
 from .matchings import Matching
 from .prefs import AgentId, Market, RankedPreference, ResponsivePreference, Side
 
@@ -233,11 +232,6 @@ def dump_market(doc: MarketDocument) -> str:
                 "responsive": {"quota": spec.quota, "priority": list(spec.priority)}
             }
     return json.dumps(payload, indent=2) + "\n"
-
-
-#: A weight is ``n`` or ``n/d`` with a nonzero denominator: no sign,
-#: space, decimal point or exponent.
-_WEIGHT = re.compile(r"([0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 
 def _parse_weight(raw, path: str) -> Fraction:

@@ -26,6 +26,7 @@ used anywhere.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -38,6 +39,18 @@ from .errors import ValidationError
 from .lattice import Cmp, StableSet, compare_side
 from .matchings import Matching, RationalMatrix, ZERO, ONE
 from .prefs import AgentId, Market, Preference, SetComparison, Side, mask_subset
+
+#: Weight text is ``n`` or ``n/d``, d nonzero: no sign, space, point or exponent.
+_WEIGHT = re.compile(r"([0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+
+
+def _exact_weight(raw: object) -> Fraction:
+    if isinstance(raw, (Fraction, int)) and not isinstance(raw, bool):
+        return Fraction(raw)
+    match = _WEIGHT.fullmatch(raw) if isinstance(raw, str) else None
+    if match is None:
+        raise ValidationError(f"weight {raw!r} is not a Fraction, an int or n/d text", code="bad-weight")
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 @dataclass(frozen=True)
@@ -68,9 +81,10 @@ class Lottery:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[object, Matching]]) -> "Lottery":
-        """Build a lottery, coercing weights through ``Fraction`` (so ints
-        and strings like ``"5/12"`` are accepted)."""
-        return cls(tuple((Fraction(w), m) for w, m in pairs))
+        """Build a lottery from ``(weight, matching)`` pairs.  A weight is a
+        ``Fraction``, an ``int`` or a string ``"n"`` or ``"n/d"`` such as
+        ``"5/12"``; floats, bools and other strings are refused (bad-weight)."""
+        return cls(tuple((_exact_weight(w), m) for w, m in pairs))
 
     @classmethod
     def degenerate(cls, matching: Matching) -> "Lottery":
@@ -148,12 +162,12 @@ def _merge_runs(gamma: Iterable[Fraction], items: Iterable) -> tuple[tuple[Fract
 class DecompositionStep:
     """One peeling round of the decreasing-decomposition loop.
 
-    ``pool`` holds the stable matchings still in play, ``residual`` the
-    probability mass not yet written off, ``best`` the firm-side least upper
-    bound of the pool, and ``share`` the fraction of the residual assigned
-    to ``best`` (the minimum residual entry over its matched cells).
-    ``tight_cells`` are the cells attaining that minimum; every pool member
-    using one of them is ``removed`` before the next round.
+    ``pool`` holds the stable matchings still in play and ``best`` is its
+    firm-side least upper bound.  ``residual`` is the probability mass not
+    yet peeled, divided by the mass left, and ``share`` is the fraction of
+    the mass left assigned to ``best`` (the minimum residual entry over its
+    matched cells).  ``tight_cells`` are the cells attaining that minimum;
+    every pool member using one of them is ``removed`` before the next round.
     """
 
     index: int
@@ -197,35 +211,27 @@ def _closed_pool(support: Iterable[int], stable_set: StableSet) -> list[int]:
 
 def decompose_run(lottery: Lottery, stable_set: StableSet) -> DecompositionRun:
     """Decompose with a full per-step trace (see :func:`decompose`)."""
-    merged = lottery.merged()
     # Looking the terms up is the membership check: raises not-in-stable-set.
-    pool = _closed_pool(map(stable_set.index, merged.matchings), stable_set)
-    residual = merged.expectation()
-    mass_left = ONE  # product of (1 - share) over finished steps
+    pool = _closed_pool(map(stable_set.index, lottery.matchings), stable_set)
+    # Mass is counted in whole units of 1/denominator; left is what is unpeeled.
+    denominator = math.lcm(*(w.denominator for w in lottery.weights))
+    counts = [[int(entry * denominator) for entry in row] for row in lottery.expectation().rows]
+    left = denominator
     steps: list[DecompositionStep] = []
     terms: list[tuple[Fraction, Matching]] = []
 
     while pool:
         members = tuple(stable_set[k] for k in pool)
         best = stable_set[reduce(stable_set.join, pool)]
-        matched_cells = [
-            (i, j)
-            for i, mask in enumerate(best.firm_masks)
-            for j in range(best.num_workers)
-            if mask >> j & 1
-        ]
+        matched_cells = [(i, j) for i, mask in enumerate(best.firm_masks) for j in mask_subset(mask)]
         if matched_cells:
-            share = min(residual.entry(i, j) for i, j in matched_cells)
-            tight = frozenset(
-                (i, j) for i, j in matched_cells if residual.entry(i, j) == share
-            )
-            removed = tuple(
-                m for m in members if any(m.firm_masks[i] >> j & 1 for i, j in tight)
-            )
+            taken = min(counts[i][j] for i, j in matched_cells)
+            tight = frozenset((i, j) for i, j in matched_cells if counts[i][j] == taken)
+            removed = tuple(m for m in members if any(m.firm_masks[i] >> j & 1 for i, j in tight))
         else:
             # Everyone in the pool is the all-unmatched matching: equal
             # partner counts force pool == {best}, so consume it whole.
-            share = ONE
+            taken = left
             tight = frozenset()
             removed = members
 
@@ -233,30 +239,20 @@ def decompose_run(lottery: Lottery, stable_set: StableSet) -> DecompositionRun:
             DecompositionStep(
                 index=len(steps) + 1,
                 pool=members,
-                residual=residual,
+                residual=RationalMatrix(tuple(tuple(Fraction(c, left) for c in row) for row in counts)),
                 best=best,
-                share=share,
+                share=Fraction(taken, left),
                 tight_cells=tight,
                 removed=removed,
             )
         )
-        terms.append((mass_left * share, best))
+        terms.append((Fraction(taken, denominator), best))
 
+        for i, j in matched_cells:
+            counts[i][j] -= taken
+        left -= taken
         dropped = set(removed)
         pool = [k for k, m in zip(pool, members) if m not in dropped]
-        if pool:
-            scale = 1 - share
-            best_masks = best.firm_masks
-            residual = RationalMatrix(
-                tuple(
-                    tuple(
-                        (entry - share * (best_masks[i] >> j & 1)) / scale
-                        for j, entry in enumerate(row)
-                    )
-                    for i, row in enumerate(residual.rows)
-                )
-            )
-            mass_left *= scale
 
     return DecompositionRun(tuple(steps), Lottery(tuple(terms)))
 
@@ -265,12 +261,12 @@ def decompose(lottery: Lottery, stable_set: StableSet) -> Lottery:
     """Rewrite a lottery into its unique decreasing representation.
 
     The pool starts as the lottery's support closed under joins and meets.
-    Each round peels the pool's firm-side least upper bound off the residual
-    matrix at the largest feasible share, drops every pool member that used
-    an exhausted cell, and rescales.  The output weights are the share of
-    each round times the mass left over from earlier rounds; the output
-    matchings strictly descend for the firms, and two input lotteries with
-    equal expectation matrices always produce identical output.
+    The expectation matrix is counted in whole units of one common
+    denominator.  Each round peels the pool's firm-side least upper bound off
+    those counts at the largest feasible weight, the least count over its
+    matched cells, and drops every pool member that used an exhausted cell.
+    The output matchings strictly descend for the firms, and two input
+    lotteries with equal expectation matrices always produce identical output.
     """
     return decompose_run(lottery, stable_set).result
 

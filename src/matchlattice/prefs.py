@@ -40,10 +40,6 @@ class Side(Enum):
     FIRMS = "F"
     WORKERS = "W"
 
-    @property
-    def opposite(self) -> "Side":
-        return Side.WORKERS if self is Side.FIRMS else Side.FIRMS
-
     def __str__(self) -> str:
         return self.value
 

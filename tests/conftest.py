@@ -1,5 +1,7 @@
 """Shared fixtures: the golden 4x4 market, its lotteries, and the generated
-responsive-market corpus used by the property and acceptance tests."""
+responsive-market corpus used by the property and acceptance tests; plus the
+block-diagonal market builder and the expectation-preserving rewritings of a
+lottery, which several test modules share."""
 
 from __future__ import annotations
 
@@ -16,10 +18,13 @@ from matchlattice import (
     Market,
     Matching,
     RankedPreference,
+    ResponsivePreference,
     Side,
     StableSet,
     enumerate_stable,
     generate_responsive_market,
+    join_f,
+    meet_f,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -189,3 +194,50 @@ def build_corpus(num_markets: int = 130, lotteries_each: int = 5) -> list[Market
 @pytest.fixture(scope="session")
 def corpus() -> list[MarketCase]:
     return build_corpus()
+
+
+def block_diagonal_market(sizes=(3, 2)):
+    """Disjoint cyclic Latin blocks with quota 1.  In an n-block firm i ranks
+    workers i, i+1, ... and worker j ranks firms j+1, j+2, ..., j (mod n), so
+    each block has its n diagonal matchings as stable matchings; nobody
+    accepts a partner outside its block, so the market's stable set is the
+    product of the blocks' stable sets."""
+    firms, workers, start = [], [], 0
+    for n in sizes:
+        for i in range(n):
+            firms.append([start + (i + k) % n for k in range(n)])
+            workers.append([start + (i + 1 + k) % n for k in range(n)])
+        start += n
+    return Market(
+        tuple(ResponsivePreference(AgentId(Side.FIRMS, i), start, 1, p) for i, p in enumerate(firms)),
+        tuple(ResponsivePreference(AgentId(Side.WORKERS, j), start, 1, p) for j, p in enumerate(workers)),
+    )
+
+
+def alternative_representations(lottery, stable):
+    """Rewritings of a lottery that leave its expectation matrix unchanged."""
+    market = stable.market
+    rng = random.Random(hash(lottery.weights) & 0xFFFF)
+    alternates = []
+
+    halves = []
+    for weight, matching in lottery.terms:
+        halves.append((weight / 2, matching))
+        halves.append((weight / 2, matching))
+    alternates.append(Lottery(tuple(reversed(halves))))
+
+    support = lottery.merged()
+    if len(support.terms) >= 2:
+        (wa, a), (wb, b) = support.terms[0], support.terms[1]
+        rest = support.terms[2:]
+        shift = min(wa, wb)
+        rewritten = list(rest)
+        if wa > shift:
+            rewritten.append((wa - shift, a))
+        if wb > shift:
+            rewritten.append((wb - shift, b))
+        rewritten.append((shift, join_f(a, b, market)))
+        rewritten.append((shift, meet_f(a, b, market)))
+        rng.shuffle(rewritten)
+        alternates.append(Lottery(tuple(rewritten)).merged())
+    return alternates

@@ -5,7 +5,8 @@ with no shared code paths into the package internals (which work on
 bitmasks): rank lists are scanned literally, stability enumerates every
 agent and every pair, and the stable set is recomputed either from all
 2^(F*W) edge subsets or from the product of every firm's individually
-rational rows.
+rational rows.  The decreasing decomposition follows the paper's literal
+rescaling recurrence on Fraction grids.
 """
 
 from __future__ import annotations
@@ -175,3 +176,64 @@ def weak_dominance_oracle(cx, cy, pref, assigned) -> bool:
         if lhs < prefixes[end]:
             return False
     return True
+
+
+def decompose_oracle(terms, stable, market):
+    """The paper's decreasing decomposition by its literal rescaling recurrence.
+
+    The pool is the support closed under least upper and greatest lower
+    bounds, each found by an exhaustive scan of ``stable`` with
+    ``firm_at_least_oracle``.  Each round takes the pool's least upper bound,
+    its share is the least residual entry over that matching's cells, the
+    pool members using a cell that attains it leave, and the residual grid
+    becomes (residual - share * best) / (1 - share).  Returns one tuple
+    (pool, residual, best, share, tight, removed) per round, with pool and
+    removed as frozensets, and the result as a tuple of (weight, matching).
+    """
+    nf, nw = market.shape
+    at_least = {(a, b): firm_at_least_oracle(a, b, market) for a in stable for b in stable}
+
+    def least_upper(family):
+        upper = [c for c in stable if all(at_least[c, m] for m in family)]
+        (least,) = [c for c in upper if all(at_least[u, c] for u in upper)]
+        return least
+
+    def greatest_lower(family):
+        lower = [c for c in stable if all(at_least[m, c] for m in family)]
+        (greatest,) = [c for c in lower if all(at_least[c, d] for d in lower)]
+        return greatest
+
+    pool = frozenset(m for _, m in terms)
+    while True:
+        grown = pool | {
+            bound(pair) for pair in combinations(pool, 2) for bound in (least_upper, greatest_lower)
+        }
+        if grown == pool:
+            break
+        pool = grown
+
+    residual = expectation_oracle(terms)
+    mass = Fraction(1)
+    steps, result = [], []
+    while pool:
+        best = least_upper(pool)
+        cells = {(i, j) for i in range(nf) for j in best.firm_set(i)}
+        if cells:
+            share = min(residual[i][j] for i, j in cells)
+            tight = frozenset((i, j) for i, j in cells if residual[i][j] == share)
+            removed = frozenset(m for m in pool if any(j in m.firm_set(i) for i, j in tight))
+        else:
+            share, tight, removed = Fraction(1), frozenset(), pool
+        steps.append((pool, residual, best, share, tight, removed))
+        result.append((mass * share, best))
+        pool -= removed
+        if pool:
+            residual = tuple(
+                tuple(
+                    (residual[i][j] - (share if (i, j) in cells else 0)) / (1 - share)
+                    for j in range(nw)
+                )
+                for i in range(nf)
+            )
+            mass *= 1 - share
+    return steps, tuple(result)

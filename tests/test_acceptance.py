@@ -20,9 +20,7 @@ from matchlattice import (
     enumerate_stable,
     hasse_edges,
     is_decreasing,
-    join_f,
     join_random,
-    meet_f,
     meet_random,
     random_rht_check,
     rht_check,
@@ -31,7 +29,7 @@ from matchlattice import (
     to_dot,
     Side,
 )
-from conftest import product_covers, product_table
+from conftest import alternative_representations, product_covers, product_table, random_lottery
 from oracles import enumerate_oracle
 
 
@@ -156,35 +154,6 @@ def test_criterion_05_lottery_join_meet_golden(canonical_x, canonical_y, example
     passed(5, "lottery join/meet match the worked values via both methods; lcm slice count is 12")
 
 
-def _alternative_representations(lottery, stable):
-    """Rewritings of a lottery that leave its expectation matrix unchanged."""
-    market = stable.market
-    rng = random.Random(hash(lottery.weights) & 0xFFFF)
-    alternates = []
-
-    halves = []
-    for weight, matching in lottery.terms:
-        halves.append((weight / 2, matching))
-        halves.append((weight / 2, matching))
-    alternates.append(Lottery(tuple(reversed(halves))))
-
-    support = lottery.merged()
-    if len(support.terms) >= 2:
-        (wa, a), (wb, b) = support.terms[0], support.terms[1]
-        rest = support.terms[2:]
-        shift = min(wa, wb)
-        rewritten = list(rest)
-        if wa > shift:
-            rewritten.append((wa - shift, a))
-        if wb > shift:
-            rewritten.append((wb - shift, b))
-        rewritten.append((shift, join_f(a, b, market)))
-        rewritten.append((shift, meet_f(a, b, market)))
-        rng.shuffle(rewritten)
-        alternates.append(Lottery(tuple(rewritten)).merged())
-    return alternates
-
-
 def test_criterion_06_decomposition_uniqueness_over_corpus(corpus):
     markets = len(corpus)
     lottery_count = sum(len(case.lotteries) for case in corpus)
@@ -197,7 +166,7 @@ def test_criterion_06_decomposition_uniqueness_over_corpus(corpus):
             assert result.expectation() == lottery.expectation()
             assert is_decreasing(result, case.market)
             assert run.steps[-1].share == 1
-            for alternative in _alternative_representations(lottery, case.stable):
+            for alternative in alternative_representations(lottery, case.stable):
                 assert alternative.expectation() == lottery.expectation()
                 assert decompose(alternative, case.stable) == result
                 checked_alternatives += 1
@@ -294,6 +263,20 @@ def test_criterion_08_lottery_lattice_laws(corpus):
         f"lattice laws, duality and bound certification over the corpus "
         f"({law_checks} pairs, {certified} certified bounds)",
     )
+
+
+def test_criterion_08_distributive_law_golden(example_stable):
+    stable = example_stable
+    rng = random.Random(8)
+    triples = 60
+    for _ in range(triples):
+        x, y, z = (random_lottery(rng, stable) for _ in range(3))
+        for side in Side:
+            join = lambda a, b: join_random(a, b, stable, side)
+            meet = lambda a, b: meet_random(a, b, stable, side)
+            assert join(x, meet(y, z)) == meet(join(x, y), join(x, z))
+            assert meet(x, join(y, z)) == join(meet(x, y), meet(x, z))
+    passed(8, f"distributive law and its dual on both sides over {triples} golden triples")
 
 
 def test_criterion_09_rural_hospital(corpus, example_stable, canonical_x, canonical_y):

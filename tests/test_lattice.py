@@ -30,6 +30,7 @@ from matchlattice import (
     to_dot,
 )
 from matchlattice.lattice import _deferred_acceptance
+from conftest import block_diagonal_market
 from oracles import (
     choice_oracle,
     enumerate_oracle,
@@ -78,24 +79,6 @@ def responsive_market(seed, size, quota):
             ResponsivePreference(AgentId(Side.WORKERS, j), size, quota, rng.sample(range(size), size))
             for j in range(size)
         ),
-    )
-
-
-def block_diagonal_market(sizes=(3, 2)):
-    """Disjoint cyclic Latin blocks with quota 1.  In an n-block firm i ranks
-    workers i, i+1, ... and worker j ranks firms j+1, j+2, ..., j (mod n), so
-    each block has its n diagonal matchings as stable matchings; nobody
-    accepts a partner outside its block, so the market's stable set is the
-    product of the blocks' stable sets."""
-    firms, workers, start = [], [], 0
-    for n in sizes:
-        for i in range(n):
-            firms.append([start + (i + k) % n for k in range(n)])
-            workers.append([start + (i + 1 + k) % n for k in range(n)])
-        start += n
-    return Market(
-        tuple(ResponsivePreference(AgentId(Side.FIRMS, i), start, 1, p) for i, p in enumerate(firms)),
-        tuple(ResponsivePreference(AgentId(Side.WORKERS, j), start, 1, p) for j, p in enumerate(workers)),
     )
 
 

@@ -1,6 +1,7 @@
 """Lottery decomposition, splitting, dominance, and lottery-level join/meet,
 pinned to the worked 4x4 example and cross-checked against naive oracles."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,8 @@ from matchlattice import (
 )
 from matchlattice import lattice
 from matchlattice.lotteries import _combine_termwise
-from oracles import expectation_oracle, weak_dominance_oracle
+from conftest import alternative_representations, block_diagonal_market, random_lottery
+from oracles import decompose_oracle, expectation_oracle, weak_dominance_oracle
 
 
 def fr(text):
@@ -79,6 +81,24 @@ class TestLotteryType:
     def test_mixed_market_shapes_rejected(self, nus):
         with pytest.raises(ValidationError):
             lottery(("1/2", nus[0]), ("1/2", Matching.empty(2, 2)))
+
+    def test_from_pairs_accepts_only_exact_weights(self, nus):
+        quarters = lottery((Fraction(1, 4), nus[0]), ("2/4", nus[1]), ("1/4", nus[2]))
+        assert quarters.weights == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
+        assert lottery((1, nus[0])) == lottery(("1", nus[0])) == Lottery.degenerate(nus[0])
+        for pairs in (
+            ((0.5, nus[0]), (0.5, nus[1])),
+            ((True, nus[0]),),
+            (("0.25", nus[0]), ("3/4", nus[1])),
+            ((1.0, nus[0]),),
+            ((" 1", nus[0]),),
+            (("+1", nus[0]),),
+            (("1e0", nus[0]),),
+            ((None, nus[0]),),
+        ):
+            with pytest.raises(ValidationError) as info:
+                lottery(*pairs)
+            assert info.value.code == "bad-weight", pairs
 
     def test_merged_aggregates_repeats(self, nus):
         raw = lottery(("1/4", nus[0]), ("1/4", nus[1]), ("1/2", nus[0]))
@@ -159,6 +179,50 @@ class TestDecompose:
         run = decompose_run(Lottery.degenerate(stable[0]), stable)
         assert run.result == Lottery.degenerate(stable[0])
         assert run.steps[0].share == 1
+
+
+class TestDecomposeOracle:
+    """Every trace field and the result against the paper's rescaling
+    recurrence, on each lottery and on its expectation-preserving rewritings
+    (halved repeated terms; a pair traded for its join and meet)."""
+
+    @staticmethod
+    def check(lottery, stable):
+        in_order = lambda ms: tuple(sorted(ms, key=stable.index))
+        representations = [lottery] + alternative_representations(lottery, stable)
+        for representation in representations:
+            run = decompose_run(representation, stable)
+            steps, result = decompose_oracle(representation.terms, list(stable), stable.market)
+            assert len(run.steps) == len(steps)
+            for index, (step, expected) in enumerate(zip(run.steps, steps), 1):
+                pool, residual, best, share, tight, removed = expected
+                assert step.index == index
+                assert step.pool == in_order(pool)
+                assert step.residual.rows == residual
+                assert step.best == best
+                assert step.share == share
+                assert step.tight_cells == tight
+                assert step.removed == in_order(removed)
+            assert run.result.terms == result
+        return len(representations)
+
+    def test_golden_lattice(self, raw_x, canonical_x, canonical_y, example_stable):
+        rng = random.Random(7)
+        lotteries = [raw_x, canonical_x, canonical_y]
+        lotteries += [random_lottery(rng, example_stable) for _ in range(40)]
+        assert sum(self.check(x, example_stable) for x in lotteries) > 100
+
+    def test_block_market(self):
+        stable = enumerate_stable(block_diagonal_market((3, 2)))
+        assert len(stable) == 6
+        rng = random.Random(11)
+        for _ in range(40):
+            self.check(random_lottery(rng, stable), stable)
+
+    def test_corpus(self, corpus):
+        for case in corpus:
+            for lottery in case.lotteries:
+                self.check(lottery, case.stable)
 
 
 class TestSplit:
