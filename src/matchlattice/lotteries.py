@@ -13,14 +13,17 @@ On canonical forms the package provides
 * :func:`split` -- the common refinement of two decreasing lotteries: both
   rewritten over one shared weight vector, term by term;
 * :func:`lcm_refine` -- the direct refinement into equal slices of weight
-  1/e, where e is the least common multiple of all weight denominators;
+  1/e, where e is the least common multiple of all weight denominators
+  (refused above :data:`LCM_SLICE_GUARD` slices);
 * :func:`dominates` -- a stochastic-dominance order, per agent or per side;
 * :func:`split_dominates` -- the equivalent termwise order on the split;
 * :func:`join_random` / :func:`meet_random` -- least upper bound and
   greatest lower bound for a side, computed termwise over a refinement.
 
-All weights stay :class:`~fractions.Fraction` throughout; no tolerance is
-used anywhere.
+Both refinements are a :class:`SplitAlignment`: integer slice counts over
+one common denominator, so aligning, regrouping and combining add integers
+and make one :class:`~fractions.Fraction` per output term.  All weights stay
+exact throughout; no tolerance is used anywhere.
 """
 
 from __future__ import annotations
@@ -35,10 +38,13 @@ from functools import reduce
 from itertools import accumulate
 from typing import Iterable, Union
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .lattice import Cmp, StableSet, compare_side
 from .matchings import Matching, RationalMatrix, ZERO, ONE
 from .prefs import AgentId, Market, Preference, SetComparison, Side, mask_subset
+
+#: :func:`lcm_refine` refuses to build more slices than this.
+LCM_SLICE_GUARD = 10**6
 
 #: Weight text is ``n`` or ``n/d``, d nonzero: no sign, space, point or exponent.
 _WEIGHT = re.compile(r"([0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
@@ -147,15 +153,15 @@ def _require_decreasing_pair(x: Lottery, y: Lottery, market: Market) -> None:
             )
 
 
-def _merge_runs(gamma: Iterable[Fraction], items: Iterable) -> tuple[tuple[Fraction, object], ...]:
-    """Aligned weights paired with their items, equal consecutive items merged."""
-    terms: list[tuple[Fraction, object]] = []
-    for g, item in zip(gamma, items):
+def _merge_runs(counts: Iterable[int], items: Iterable) -> list[tuple[int, object]]:
+    """Aligned counts paired with their items, equal consecutive items merged."""
+    terms: list[tuple[int, object]] = []
+    for c, item in zip(counts, items):
         if terms and terms[-1][1] == item:
-            terms[-1] = (terms[-1][0] + g, item)
+            terms[-1] = (terms[-1][0] + c, item)
         else:
-            terms.append((g, item))
-    return tuple(terms)
+            terms.append((c, item))
+    return terms
 
 
 @dataclass(frozen=True)
@@ -275,57 +281,75 @@ def decompose(lottery: Lottery, stable_set: StableSet) -> Lottery:
 class SplitAlignment:
     """Two lotteries rewritten over one shared weight vector.
 
-    ``left[k]`` and ``right[k]`` both carry weight ``gamma[k]``; aggregating
-    equal consecutive matchings on either side reconstructs the original
-    lottery exactly.
+    Slice ``k`` has weight ``counts[k] / denominator``, the same on both
+    sides, and carries ``left[k]`` and ``right[k]``.  The counts are positive
+    integers summing to ``denominator``; aggregating equal consecutive
+    matchings on either side reconstructs the original lottery exactly.
     """
 
-    gamma: tuple[Fraction, ...]
+    denominator: int
+    counts: tuple[int, ...]
     left: tuple[Matching, ...]
     right: tuple[Matching, ...]
 
     def __post_init__(self):
-        if not (len(self.gamma) == len(self.left) == len(self.right)):
+        if not (len(self.counts) == len(self.left) == len(self.right)):
             raise ValidationError("alignment lists must have equal length")
-        if any(g <= 0 for g in self.gamma):
-            raise ValidationError("alignment weights must be positive", code="bad-weight")
-        if sum(self.gamma, ZERO) != 1:
-            raise ValidationError("alignment weights must sum to 1", code="weight-sum")
+        if not set(map(type, self.counts)) <= {int} or min(self.counts, default=1) <= 0:
+            raise ValidationError("alignment counts must be positive ints", code="bad-weight")
+        if type(self.denominator) is not int or self.denominator <= 0 or sum(self.counts) != self.denominator:
+            raise ValidationError("alignment counts must sum to a positive int denominator", code="weight-sum")
+
+    @property
+    def gamma(self) -> tuple[Fraction, ...]:
+        """The shared weight vector, one Fraction per slice."""
+        return tuple(Fraction(c, self.denominator) for c in self.counts)
 
     def __len__(self) -> int:
-        return len(self.gamma)
+        return len(self.counts)
 
     def left_lottery(self) -> Lottery:
-        return Lottery(_merge_runs(self.gamma, self.left))
+        return self._regrouped(self.left)
 
     def right_lottery(self) -> Lottery:
-        return Lottery(_merge_runs(self.gamma, self.right))
+        return self._regrouped(self.right)
+
+    def _regrouped(self, matchings: tuple[Matching, ...]) -> Lottery:
+        runs = _merge_runs(self.counts, matchings)
+        return Lottery(tuple((Fraction(c, self.denominator), m) for c, m in runs))
 
 
 def split(x: Lottery, y: Lottery, market: Market) -> SplitAlignment:
     """Common refinement of two decreasing lotteries.
 
-    The cumulative weights of both inputs are merged into one breakpoint
-    sequence; each output term covers one interval between consecutive
-    breakpoints and carries the matching whose input term spans it.  The
-    output has at most ``len(x) + len(y) - 1`` terms.
+    Weights are counted in whole units of 1/D, D the least common multiple
+    of both inputs' weight denominators.  The cumulative counts of both
+    inputs are merged into one breakpoint sequence; each output term covers
+    one interval between consecutive breakpoints and carries the matching
+    whose input term spans it.  The output has at most
+    ``len(x) + len(y) - 1`` terms.
     """
     _require_decreasing_pair(x, y, market)
 
-    cum_x = list(accumulate(x.weights))
-    cum_y = list(accumulate(y.weights))
-    cuts = sorted(set(cum_x) | set(cum_y))
+    denominator = math.lcm(*(w.denominator for w in x.weights + y.weights))
+    cum_x = list(accumulate(_term_counts(x, denominator)))
+    cum_y = list(accumulate(_term_counts(y, denominator)))
 
-    gamma: list[Fraction] = []
+    counts: list[int] = []
     left: list[Matching] = []
     right: list[Matching] = []
-    previous = ZERO
-    for cut in cuts:
-        gamma.append(cut - previous)
+    previous = 0
+    for cut in sorted(set(cum_x) | set(cum_y)):
+        counts.append(cut - previous)
         left.append(x.matchings[bisect_left(cum_x, cut)])
         right.append(y.matchings[bisect_left(cum_y, cut)])
         previous = cut
-    return SplitAlignment(tuple(gamma), tuple(left), tuple(right))
+    return SplitAlignment(denominator, tuple(counts), tuple(left), tuple(right))
+
+
+def _term_counts(lottery: Lottery, denominator: int) -> list[int]:
+    """Each weight in whole units of 1/denominator, a common multiple of theirs."""
+    return [w.numerator * (denominator // w.denominator) for w in lottery.weights]
 
 
 def lcm_refine(x: Lottery, y: Lottery, market: Market) -> SplitAlignment:
@@ -333,21 +357,27 @@ def lcm_refine(x: Lottery, y: Lottery, market: Market) -> SplitAlignment:
 
     ``e`` is the least common multiple of every weight denominator (weights
     are in lowest terms), so each input term splits into a whole number of
-    slices.  Termwise joins or meets over this alignment agree with the ones
-    computed over :func:`split`.
+    slices.  The alignment has denominator ``e`` and a count of 1 per slice.
+    Termwise joins or meets over this alignment agree with the ones computed
+    over :func:`split`.  More than :data:`LCM_SLICE_GUARD` slices are refused
+    with :class:`CapacityError` before any is built.
     """
     _require_decreasing_pair(x, y, market)
 
     slices = math.lcm(*(w.denominator for w in x.weights + y.weights))
-    unit = Fraction(1, slices)
+    if slices > LCM_SLICE_GUARD:
+        raise CapacityError(
+            f"the lcm refinement needs {slices} slices; the budget is {LCM_SLICE_GUARD} "
+            "(use the split refinement)"
+        )
 
     def stretched(lottery: Lottery) -> tuple[Matching, ...]:
         out: list[Matching] = []
-        for weight, matching in lottery.terms:
-            out.extend([matching] * int(weight * slices))
+        for count, matching in zip(_term_counts(lottery, slices), lottery.matchings):
+            out.extend([matching] * count)
         return tuple(out)
 
-    return SplitAlignment((unit,) * slices, stretched(x), stretched(y))
+    return SplitAlignment(slices, (1,) * slices, stretched(x), stretched(y))
 
 
 class Dominance(Enum):
@@ -444,18 +474,23 @@ def _combine_termwise(
     alignment: SplitAlignment, side: Side, take_join: bool, stable_set: StableSet
 ) -> Lottery:
     """Combine termwise by stable-set position; the firm-side join is the
-    worker-side meet and vice versa."""
+    worker-side meet and vice versa.
+
+    Equal consecutive ``(left, right)`` pairs are merged first, so each run
+    is looked up (the membership check) and combined once.
+    """
     combine = stable_set.join if take_join == (side is Side.FIRMS) else stable_set.meet
     index = stable_set.index
+    pairs = _merge_runs(alignment.counts, zip(alignment.left, alignment.right))
     runs = _merge_runs(
-        alignment.gamma,
-        (combine(index(a), index(b)) for a, b in zip(alignment.left, alignment.right)),
+        (c for c, _ in pairs),
+        (combine(index(a), index(b)) for _, (a, b) in pairs),
     )
     if any(stable_set.cmp_f(a, b) is not Cmp.GREATER for (_, a), (_, b) in zip(runs, runs[1:])):
         # Termwise combination of two decreasing chains is monotone, so this
         # only happens when the stable set or the market is inconsistent.
         raise ValidationError("termwise combination is not in decreasing form", code="not-canonical")
-    return Lottery(tuple((g, stable_set[k]) for g, k in runs))
+    return Lottery(tuple((Fraction(c, alignment.denominator), stable_set[k]) for c, k in runs))
 
 
 def _refined(x: Lottery, y: Lottery, stable_set: StableSet, method: str) -> SplitAlignment:

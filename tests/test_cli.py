@@ -228,6 +228,28 @@ class TestErrors:
         assert code == 3
         assert "error[capacity]" in err
 
+    def test_lcm_slice_guard_exits_three(self, capsys, tmp_path):
+        # The top and bottom matchings of x, weighted so that the lcm
+        # refinement would need 999983 * 999979 slices.
+        top, _, bottom = (t["matching"] for t in json.loads(Path(X).read_text())["terms"])
+        paths = []
+        for prime in (999983, 999979):
+            path = tmp_path / f"x{prime}.json"
+            terms = [{"weight": f"1/{prime}", "matching": top},
+                     {"weight": f"{prime - 1}/{prime}", "matching": bottom}]
+            path.write_text(json.dumps({"terms": terms}))
+            paths.append(str(path))
+        code, out, err = run(capsys, "join", MARKET, *paths, "--side", "F", "--method", "lcm")
+        assert code == 3
+        assert "error[capacity]" in err and str(999983 * 999979) in err
+        assert out == ""
+        code, out, _ = run(capsys, "split", MARKET, *paths)
+        assert code == 0
+        assert out.splitlines()[0] == "gamma: 1/999983 4/999962000357 999978/999979"
+        code, out, _ = run(capsys, "join", MARKET, *paths, "--side", "F")
+        assert code == 0
+        assert out.strip() == "1/999979 m2 + 999978/999979 m15"
+
     def test_axiom_error_from_enumerate_exits_four(self, capsys, tmp_path):
         bad = {
             "firms": ["f1"],

@@ -8,6 +8,7 @@ import pytest
 
 from matchlattice import (
     AgentId,
+    CapacityError,
     Dominance,
     Lottery,
     Market,
@@ -31,7 +32,7 @@ from matchlattice import (
     split_dominates,
 )
 from matchlattice import lattice
-from matchlattice.lotteries import _combine_termwise
+from matchlattice.lotteries import LCM_SLICE_GUARD, _combine_termwise
 from conftest import alternative_representations, block_diagonal_market, random_lottery
 from oracles import decompose_oracle, expectation_oracle, weak_dominance_oracle
 
@@ -269,6 +270,35 @@ class TestSplit:
         assert info.value.code == "not-canonical"
 
 
+class TestSplitAlignment:
+    def test_gamma_is_each_count_over_the_denominator(self, nus):
+        alignment = SplitAlignment(12, (2, 1, 5, 1, 3), nus[:1] * 5, nus[:1] * 5)
+        assert alignment.gamma == fr("1/6 1/12 5/12 1/12 1/4")
+        assert alignment.gamma == tuple(Fraction(c, 12) for c in alignment.counts)
+        assert alignment.left_lottery() == Lottery.degenerate(nus[0])
+
+    def test_unequal_lengths_rejected(self, nus):
+        with pytest.raises(ValidationError):
+            SplitAlignment(2, (1, 1), (nus[0], nus[3]), (nus[0],))
+        with pytest.raises(ValidationError):
+            SplitAlignment(2, (2,), (nus[0], nus[3]), (nus[0], nus[3]))
+
+    def test_counts_must_be_positive(self, nus):
+        for counts in ((2, 0), (3, -1), (1.5, 0.5), (True, True)):
+            with pytest.raises(ValidationError) as info:
+                SplitAlignment(2, counts, (nus[0], nus[3]), (nus[0], nus[3]))
+            assert info.value.code == "bad-weight"
+
+    def test_counts_must_sum_to_the_denominator(self, nus):
+        for denominator in (3, 1, 2.0):
+            with pytest.raises(ValidationError) as info:
+                SplitAlignment(denominator, (1, 1), (nus[0], nus[3]), (nus[0], nus[3]))
+            assert info.value.code == "weight-sum"
+        with pytest.raises(ValidationError) as info:
+            SplitAlignment(0, (), (), ())
+        assert info.value.code == "weight-sum"
+
+
 class TestDominance:
     def test_reflexive(self, canonical_x, example_stable):
         assert dominates(canonical_x, canonical_x, example_stable, Side.FIRMS) is Dominance.EQUAL
@@ -465,10 +495,31 @@ class TestJoinMeetRandom:
         assert join_random(canonical_x, canonical_y, fresh, Side.FIRMS, method="lcm") == expected
         assert pointed == {"_firm_pointing": [], "_worker_pointing": []}
 
+    def test_lcm_combines_each_run_once(
+        self, monkeypatch, canonical_x, canonical_y, example_stable, example_market
+    ):
+        # The golden lcm alignment has 12 slices but only as many runs of
+        # equal (left, right) pairs as split has terms.
+        alignment = lcm_refine(canonical_x, canonical_y, example_market)
+        budget = len(split(canonical_x, canonical_y, example_market))
+        assert (len(alignment), budget) == (12, 5)
+        calls = []
+        for name in ("join", "meet"):
+            def counting(self, i, j, kernel=getattr(StableSet, name)):
+                calls.append((i, j))
+                return kernel(self, i, j)
+
+            monkeypatch.setattr(StableSet, name, counting)
+        for side in Side:
+            for take_join in (True, False):
+                calls.clear()
+                _combine_termwise(alignment, side, take_join, example_stable)
+                assert 0 < len(calls) <= budget
+
     def test_termwise_result_that_is_not_decreasing_raises(self, example_stable, nus):
         # Only an inconsistent alignment can produce this; it is an error,
         # never silently re-decomposed.
-        rising = SplitAlignment(fr("1/2 1/2"), (nus[3], nus[0]), (nus[3], nus[0]))
+        rising = SplitAlignment(2, (1, 1), (nus[3], nus[0]), (nus[3], nus[0]))
         for take_join in (True, False):
             with pytest.raises(ValidationError) as info:
                 _combine_termwise(rising, Side.FIRMS, take_join, example_stable)
@@ -506,6 +557,50 @@ class TestLcmRefine:
                 with pytest.raises(ValidationError) as info:
                     refine(x, y, example_market)
                 assert info.value.code == "mismatched-market"
+
+    def test_slice_guard_refuses_a_huge_refinement(self, example_stable, example_market, nus):
+        # e = 999983 * 999979, about 10**12 slices; split needs three terms.
+        x = lottery(("1/999983", nus[0]), ("999982/999983", nus[3]))
+        y = lottery(("1/999979", nus[0]), ("999978/999979", nus[3]))
+        with pytest.raises(CapacityError) as info:
+            lcm_refine(x, y, example_market)
+        assert str(999983 * 999979) in str(info.value)
+        assert str(LCM_SLICE_GUARD) in str(info.value)
+        for combine in (join_random, meet_random):
+            with pytest.raises(CapacityError):
+                combine(x, y, example_stable, Side.FIRMS, method="lcm")
+        assert split(x, y, example_market).gamma == fr("1/999983 4/999962000357 999978/999979")
+        assert join_random(x, y, example_stable, Side.FIRMS) == lottery(
+            ("1/999979", nus[0]), ("999978/999979", nus[3])
+        )
+
+    @pytest.mark.parametrize("market", ["golden", "block"])
+    def test_agrees_with_split_at_large_e(self, market, example_stable):
+        stable = example_stable if market == "golden" else enumerate_stable(block_diagonal_market((3, 2)))
+        rng = random.Random(23)
+        primes = [p for p in range(31, 71) if all(p % d for d in range(2, p))]
+        checked = 0
+        while checked < 8:
+            x, y = (prime_weighted_lottery(rng, stable, rng.choice(primes)) for _ in range(2))
+            cx, cy = decompose(x, stable), decompose(y, stable)
+            alignment = lcm_refine(cx, cy, stable.market)
+            if not 1000 <= len(alignment) <= 5000:
+                continue
+            checked += 1
+            assert alignment.left_lottery() == cx
+            assert alignment.right_lottery() == cy
+            for side in Side:
+                for combine in (join_random, meet_random):
+                    assert combine(x, y, stable, side, method="lcm") == combine(x, y, stable, side)
+
+
+def prime_weighted_lottery(rng, stable, prime):
+    """Two to four distinct stable matchings with weights in units of 1/prime."""
+    count = rng.randint(2, min(4, len(stable)))
+    picks = rng.sample(range(len(stable)), count)
+    cuts = sorted(rng.sample(range(1, prime), count - 1))
+    units = [b - a for a, b in zip([0] + cuts, cuts + [prime])]
+    return Lottery.from_pairs([(Fraction(n, prime), stable[i]) for n, i in zip(units, picks)])
 
 
 class TestRandomRuralHospital:
