@@ -25,7 +25,8 @@ Lottery document::
 
 Weights are fraction strings ``n`` or ``n/d`` (never decimals) and must sum to
 one.  A matching lists only the firm side; omitted firms are unmatched, and the
-worker side is derived.  A quota is a JSON integer; no object repeats a key.
+worker side is derived.  A quota is a nonnegative JSON integer and a priority
+names each partner once.  No object repeats a key or has a key not shown here.
 """
 
 from __future__ import annotations
@@ -110,6 +111,13 @@ def _need(mapping, key, kind, path: str):
     return value
 
 
+def _known_keys(raw, keys: set[str], path: str) -> None:
+    """Refuse any key of the object ``raw`` outside the documented ``keys``."""
+    if isinstance(raw, dict) and not raw.keys() <= keys:
+        unknown = next(key for key in raw if key not in keys)
+        raise _fail(f"{path}.{unknown}", "unknown key", "schema")
+
+
 def _name_list(raw, path: str) -> tuple[str, ...]:
     if not isinstance(raw, list) or not all(isinstance(n, str) for n in raw):
         raise _fail(path, "expected a list of strings", "schema")
@@ -159,6 +167,7 @@ def _load_json(data: Union[str, bytes]):
 def parse_market(data: Union[str, bytes]) -> MarketDocument:
     """Parse and fully validate a market document."""
     raw = _load_json(data)
+    _known_keys(raw, {"firms", "workers", "preferences"}, "$")
     firms = _name_list(_need(raw, "firms", list, "$"), "$.firms")
     workers = _name_list(_need(raw, "workers", list, "$"), "$.workers")
     overlap = set(firms) & set(workers)
@@ -190,7 +199,7 @@ def _parse_pref(raw, path: str, opposite: set[str]) -> PrefSpec:
         subsets = raw["ranked"]
         if not isinstance(subsets, list):
             raise _fail(f"{path}.ranked", "expected a list of subsets", "schema")
-        parsed = []
+        parsed, seen = [], set()
         for k, subset in enumerate(subsets):
             sub_path = f"{path}.ranked[{k}]"
             if not isinstance(subset, list) or not all(isinstance(n, str) for n in subset):
@@ -200,19 +209,29 @@ def _parse_pref(raw, path: str, opposite: set[str]) -> PrefSpec:
                     raise _fail(sub_path, f"unknown agent {member!r}", "unknown-agent")
             if len(set(subset)) != len(subset):
                 raise _fail(sub_path, "repeated member", "schema")
-            parsed.append(tuple(sorted(subset)))
+            if not subset:
+                raise _fail(sub_path, "the empty set cannot appear in a ranking", "invalid-preference")
+            members = tuple(sorted(subset))
+            if members in seen:
+                raise _fail(sub_path, f"duplicate subset {list(members)} in ranking", "invalid-preference")
+            seen.add(members)
+            parsed.append(members)
         return RankedSpec(tuple(parsed))
     if "responsive" in raw:
         body = raw["responsive"]
-        quota = _need(body, "quota", int, f"{path}.responsive")
-        priority = _need(body, "priority", list, f"{path}.responsive")
+        path = f"{path}.responsive"
+        _known_keys(body, {"quota", "priority"}, path)
+        quota = _need(body, "quota", int, path)
+        priority = _need(body, "priority", list, path)
         if not all(isinstance(n, str) for n in priority):
-            raise _fail(f"{path}.responsive.priority", "expected agent names", "schema")
+            raise _fail(f"{path}.priority", "expected agent names", "schema")
         for member in priority:
             if member not in opposite:
-                raise _fail(
-                    f"{path}.responsive.priority", f"unknown agent {member!r}", "unknown-agent"
-                )
+                raise _fail(f"{path}.priority", f"unknown agent {member!r}", "unknown-agent")
+        if quota < 0:
+            raise _fail(f"{path}.quota", "quota must be nonnegative", "invalid-preference")
+        if len(set(priority)) != len(priority):
+            raise _fail(f"{path}.priority", "duplicate partner in priority list", "invalid-preference")
         return ResponsiveSpec(quota, tuple(priority))
     raise _fail(path, 'expected "ranked" or "responsive"', "schema")
 
@@ -247,6 +266,7 @@ def _parse_weight(raw, path: str) -> Fraction:
 def parse_lottery(data: Union[str, bytes], doc: MarketDocument) -> Lottery:
     """Parse a lottery document against a market's agent names."""
     raw = _load_json(data)
+    _known_keys(raw, {"terms"}, "$")
     raw_terms = _need(raw, "terms", list, "$")
     if not raw_terms:
         raise _fail("$.terms", "a lottery needs at least one term", "empty-lottery")
@@ -257,6 +277,7 @@ def parse_lottery(data: Union[str, bytes], doc: MarketDocument) -> Lottery:
     total = Fraction(0)
     for k, raw_term in enumerate(raw_terms):
         path = f"$.terms[{k}]"
+        _known_keys(raw_term, {"weight", "matching"}, path)
         weight = _parse_weight(_need(raw_term, "weight", object, path), f"{path}.weight")
         raw_matching = _need(raw_term, "matching", dict, path)
         edges = []

@@ -12,18 +12,18 @@ On canonical forms the package provides
 
 * :func:`split` -- the common refinement of two decreasing lotteries: both
   rewritten over one shared weight vector, term by term;
-* :func:`lcm_refine` -- the direct refinement into equal slices of weight
-  1/e, where e is the least common multiple of all weight denominators
-  (refused above :data:`LCM_SLICE_GUARD` slices);
+* :func:`lcm_refine` -- the split with every slice cut into unit slices of
+  weight 1/e, e the split's denominator (refused above
+  :data:`LCM_SLICE_GUARD` slices);
 * :func:`dominates` -- a stochastic-dominance order, per agent or per side;
 * :func:`split_dominates` -- the equivalent termwise order on the split;
 * :func:`join_random` / :func:`meet_random` -- least upper bound and
   greatest lower bound for a side, computed termwise over a refinement.
 
-Both refinements are a :class:`SplitAlignment`: integer slice counts over
-one common denominator, so aligning, regrouping and combining add integers
-and make one :class:`~fractions.Fraction` per output term.  All weights stay
-exact throughout; no tolerance is used anywhere.
+Mass is counted in whole units of 1/D, D the lcm of the weight denominators:
+decomposition peels integer cell counts and both refinements are a
+:class:`SplitAlignment` of integer slice counts.  A :class:`~fractions.Fraction`
+is made per output weight or trace value read; no tolerance is used anywhere.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Union
 
 from .errors import CapacityError, ValidationError
@@ -122,13 +122,8 @@ class Lottery:
 
     def expectation(self) -> RationalMatrix:
         """The weighted sum of the incidence matrices."""
-        nf, nw = self.shape
-        cells = [[ZERO] * nw for _ in range(nf)]
-        for weight, matching in self.terms:
-            for i, mask in enumerate(matching.firm_masks):
-                for j in mask_subset(mask):
-                    cells[i][j] += weight
-        return RationalMatrix(tuple(tuple(row) for row in cells))
+        denominator, cells = _cell_counts(self)
+        return RationalMatrix(tuple(tuple(Fraction(c, denominator) for c in row) for row in cells))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -141,6 +136,24 @@ def is_decreasing(lottery: Lottery, market: Market) -> bool:
         compare_side(ms[k], ms[k + 1], market, Side.FIRMS) is Cmp.GREATER
         for k in range(len(ms) - 1)
     )
+
+
+def _unit_counts(*lotteries: Lottery) -> tuple[int, list[list[int]]]:
+    """D, the lcm of all weight denominators, and each lottery's weights in units of 1/D."""
+    denominator = math.lcm(*(w.denominator for x in lotteries for w in x.weights))
+    return denominator, [[w.numerator * denominator // w.denominator for w in x.weights] for x in lotteries]
+
+
+def _cell_counts(lottery: Lottery) -> tuple[int, list[list[int]]]:
+    """D and the expectation matrix in whole units of 1/D (see :func:`_unit_counts`)."""
+    denominator, (counts,) = _unit_counts(lottery)
+    nf, nw = lottery.shape
+    cells = [[0] * nw for _ in range(nf)]
+    for count, matching in zip(counts, lottery.matchings):
+        for i, mask in enumerate(matching.firm_masks):
+            for j in mask_subset(mask):
+                cells[i][j] += count
+    return denominator, cells
 
 
 def _require_decreasing_pair(x: Lottery, y: Lottery, market: Market) -> None:
@@ -169,20 +182,26 @@ class DecompositionStep:
     """One peeling round of the decreasing-decomposition loop.
 
     ``pool`` holds the stable matchings still in play and ``best`` is its
-    firm-side least upper bound.  ``residual`` is the probability mass not
-    yet peeled, divided by the mass left, and ``share`` is the fraction of
-    the mass left assigned to ``best`` (the minimum residual entry over its
-    matched cells).  ``tight_cells`` are the cells attaining that minimum;
-    every pool member using one of them is ``removed`` before the next round.
+    firm-side least upper bound.  ``counts`` is the unpeeled mass per cell
+    and ``mass_left`` the unpeeled total, in the run's units of 1/D;
+    ``residual`` is their ratio, built when read.  ``share`` is the fraction
+    of the mass left given to ``best`` (the least residual entry over its
+    matched cells).  ``tight_cells`` attain that least entry; every pool
+    member using one of them is ``removed`` before the next round.
     """
 
     index: int
     pool: tuple[Matching, ...]
-    residual: RationalMatrix
+    counts: tuple[tuple[int, ...], ...]
+    mass_left: int
     best: Matching
     share: Fraction
     tight_cells: frozenset[tuple[int, int]]
     removed: tuple[Matching, ...]
+
+    @property
+    def residual(self) -> RationalMatrix:
+        return RationalMatrix(tuple(tuple(Fraction(c, self.mass_left) for c in row) for row in self.counts))
 
 
 @dataclass(frozen=True)
@@ -220,8 +239,7 @@ def decompose_run(lottery: Lottery, stable_set: StableSet) -> DecompositionRun:
     # Looking the terms up is the membership check: raises not-in-stable-set.
     pool = _closed_pool(map(stable_set.index, lottery.matchings), stable_set)
     # Mass is counted in whole units of 1/denominator; left is what is unpeeled.
-    denominator = math.lcm(*(w.denominator for w in lottery.weights))
-    counts = [[int(entry * denominator) for entry in row] for row in lottery.expectation().rows]
+    denominator, counts = _cell_counts(lottery)
     left = denominator
     steps: list[DecompositionStep] = []
     terms: list[tuple[Fraction, Matching]] = []
@@ -245,7 +263,8 @@ def decompose_run(lottery: Lottery, stable_set: StableSet) -> DecompositionRun:
             DecompositionStep(
                 index=len(steps) + 1,
                 pool=members,
-                residual=RationalMatrix(tuple(tuple(Fraction(c, left) for c in row) for row in counts)),
+                counts=tuple(map(tuple, counts)),
+                mass_left=left,
                 best=best,
                 share=Fraction(taken, left),
                 tight_cells=tight,
@@ -331,9 +350,8 @@ def split(x: Lottery, y: Lottery, market: Market) -> SplitAlignment:
     """
     _require_decreasing_pair(x, y, market)
 
-    denominator = math.lcm(*(w.denominator for w in x.weights + y.weights))
-    cum_x = list(accumulate(_term_counts(x, denominator)))
-    cum_y = list(accumulate(_term_counts(y, denominator)))
+    denominator, per_term = _unit_counts(x, y)
+    cum_x, cum_y = (list(accumulate(terms)) for terms in per_term)
 
     counts: list[int] = []
     left: list[Matching] = []
@@ -347,37 +365,28 @@ def split(x: Lottery, y: Lottery, market: Market) -> SplitAlignment:
     return SplitAlignment(denominator, tuple(counts), tuple(left), tuple(right))
 
 
-def _term_counts(lottery: Lottery, denominator: int) -> list[int]:
-    """Each weight in whole units of 1/denominator, a common multiple of theirs."""
-    return [w.numerator * (denominator // w.denominator) for w in lottery.weights]
-
-
 def lcm_refine(x: Lottery, y: Lottery, market: Market) -> SplitAlignment:
     """Refine two decreasing lotteries into equal slices of weight 1/e.
 
-    ``e`` is the least common multiple of every weight denominator (weights
-    are in lowest terms), so each input term splits into a whole number of
-    slices.  The alignment has denominator ``e`` and a count of 1 per slice.
-    Termwise joins or meets over this alignment agree with the ones computed
-    over :func:`split`.  More than :data:`LCM_SLICE_GUARD` slices are refused
-    with :class:`CapacityError` before any is built.
+    This is :func:`split` with each slice of count ``c`` cut into ``c``
+    unit slices: ``e`` is the split's denominator, the least common multiple
+    of every weight denominator, and each slice has count 1.  Termwise joins
+    or meets over this alignment agree with the ones computed over
+    :func:`split`.  More than :data:`LCM_SLICE_GUARD` slices are refused with
+    :class:`CapacityError` before any unit slice is built.
     """
-    _require_decreasing_pair(x, y, market)
-
-    slices = math.lcm(*(w.denominator for w in x.weights + y.weights))
+    alignment = split(x, y, market)
+    slices = alignment.denominator
     if slices > LCM_SLICE_GUARD:
         raise CapacityError(
             f"the lcm refinement needs {slices} slices; the budget is {LCM_SLICE_GUARD} "
             "(use the split refinement)"
         )
-
-    def stretched(lottery: Lottery) -> tuple[Matching, ...]:
-        out: list[Matching] = []
-        for count, matching in zip(_term_counts(lottery, slices), lottery.matchings):
-            out.extend([matching] * count)
-        return tuple(out)
-
-    return SplitAlignment(slices, (1,) * slices, stretched(x), stretched(y))
+    left, right = (
+        tuple(chain.from_iterable(map(repeat, side, alignment.counts)))
+        for side in (alignment.left, alignment.right)
+    )
+    return SplitAlignment(slices, (1,) * slices, left, right)
 
 
 class Dominance(Enum):

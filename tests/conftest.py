@@ -29,6 +29,20 @@ from matchlattice import (
 
 DATA_DIR = Path(__file__).parent / "data"
 
+
+#: Preference entries the core constructors refuse, each placed in the example
+#: market, with the JSON path a refusal from the document parser must name.
+INVALID_PREFERENCES = {
+    "empty-subset": ("f1", {"ranked": [["w1"], []]}, "$.preferences.f1.ranked[1]"),
+    "repeated-subset": ("f1", {"ranked": [["w1", "w2"], ["w2", "w1"]]}, "$.preferences.f1.ranked[1]"),
+    "negative-quota": (
+        "w1", {"responsive": {"quota": -1, "priority": ["f1"]}}, "$.preferences.w1.responsive.quota"
+    ),
+    "repeated-partner": (
+        "w1", {"responsive": {"quota": 1, "priority": ["f2", "f1", "f2"]}}, "$.preferences.w1.responsive.priority"
+    ),
+}
+
 # The golden market: four firms and four workers, each ranking four pairs and
 # then the four singletons, in rotated orders.
 FIRM_RANKINGS = (

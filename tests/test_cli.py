@@ -7,7 +7,7 @@ import pytest
 
 from matchlattice import parse_lottery, parse_market
 from matchlattice.cli import main
-from conftest import DATA_DIR
+from conftest import DATA_DIR, INVALID_PREFERENCES
 
 MARKET = str(DATA_DIR / "example_market.json")
 X_RAW = str(DATA_DIR / "example_x_raw.json")
@@ -165,6 +165,7 @@ MALFORMED_LOTTERIES = {
     "spaced-exponent-weight": '{"terms": [{"weight": " 5e-1 ", "matching": {}}, {"weight": "1/2", "matching": {}}]}',
     "repeated-worker": '{"terms": [{"weight": "1", "matching": {"f1": ["w1", "w1"]}}]}',
     "duplicate-key": '{"terms": [{"weight": "1", "matching": {"f1": ["w1"], "f1": ["w2"]}}]}',
+    "unknown-key": '{"terms": [{"weight": "1", "wieght": "1", "matching": {}}]}',
 }
 
 
@@ -185,6 +186,17 @@ class TestErrors:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2
         assert err.startswith("error[schema]: $.preferences.w1.responsive.quota:")
+
+    @pytest.mark.parametrize("case", sorted(INVALID_PREFERENCES))
+    def test_invalid_preference_exits_two_with_path(self, capsys, tmp_path, case):
+        agent, preference, where = INVALID_PREFERENCES[case]
+        market = json.loads(Path(MARKET).read_text())
+        market["preferences"][agent] = preference
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(market))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert err.startswith(f"error[invalid-preference]: {where}:")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "enumerate", "/nonexistent/market.json")

@@ -20,7 +20,7 @@ from matchlattice import (
     profile_violations,
     substitutability_violation,
 )
-from conftest import DATA_DIR
+from conftest import DATA_DIR, INVALID_PREFERENCES
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +36,14 @@ def error_of(callable_, *args) -> ValidationError:
 
 def error_code(callable_, *args):
     return error_of(callable_, *args).code
+
+
+def example_with(agent, preference, **extra):
+    """The example market document with one preference entry replaced and
+    ``extra`` top-level keys added, as JSON text."""
+    doc = json.loads((DATA_DIR / "example_market.json").read_text())
+    doc["preferences"][agent] = preference
+    return json.dumps({**doc, **extra})
 
 
 class TestParseMarket:
@@ -131,6 +139,27 @@ class TestParseMarket:
         assert error.code == "schema"
         assert str(error).startswith("$.preferences.f1.responsive.quota:")
 
+    @pytest.mark.parametrize("case", sorted(INVALID_PREFERENCES))
+    def test_invalid_preference_names_its_path(self, case):
+        agent, preference, path = INVALID_PREFERENCES[case]
+        error = error_of(parse_market, example_with(agent, preference))
+        assert error.code == "invalid-preference"
+        assert str(error).startswith(f"{path}:")
+
+    @pytest.mark.parametrize(
+        "agent, preference, extra, path",
+        [
+            ("w1", {"ranked": [["f1"]]}, {"firm": ["typo"]}, "$.firm"),
+            ("w1", {"responsive": {"quota": 1, "priority": ["f1"], "quotas": 2}}, {},
+             "$.preferences.w1.responsive.quotas"),
+        ],
+        ids=["top-level", "responsive-body"],
+    )
+    def test_unknown_key_rejected(self, agent, preference, extra, path):
+        error = error_of(parse_market, example_with(agent, preference, **extra))
+        assert error.code == "schema"
+        assert str(error) == f"{path}: unknown key"
+
     def test_duplicate_key_rejected(self):
         text = (
             '{"firms": ["f1"], "workers": ["w1"], "preferences": '
@@ -191,6 +220,20 @@ class TestParseLottery:
         error = error_of(parse_lottery, text, example_doc)
         assert error.code == "duplicate-key"
         assert str(error).startswith("$.terms[0]:")
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"terms": [{"weight": "1", "matching": {}}], "term": []}, "$.term"),
+            ({"terms": [{"weight": "1/2", "matching": {}},
+                        {"weight": "1/2", "wieght": "1/2", "matching": {}}]}, "$.terms[1].wieght"),
+        ],
+        ids=["top-level", "term"],
+    )
+    def test_unknown_key_rejected(self, example_doc, doc, path):
+        error = error_of(parse_lottery, json.dumps(doc), example_doc)
+        assert error.code == "schema"
+        assert str(error) == f"{path}: unknown key"
 
     def test_unknown_firm_or_worker(self, example_doc):
         doc = {"terms": [{"weight": "1", "matching": {"f9": ["w1"]}}]}

@@ -14,6 +14,7 @@ from matchlattice import (
     Market,
     Matching,
     RankedPreference,
+    RationalMatrix,
     Side,
     SplitAlignment,
     StableSet,
@@ -143,6 +144,29 @@ class TestDecompose:
         assert set(third.removed) == {n4}
 
         assert run.result == lottery(("1/4", n1), ("1/2", n2), ("1/4", n4))
+
+    def test_mass_stays_in_integer_counts(self, monkeypatch, raw_x, canonical_x, example_stable):
+        # Only reading a trace step's residual builds a RationalMatrix.
+        built = []
+        validate = RationalMatrix.__post_init__
+
+        def counted(matrix):
+            built.append(matrix)
+            validate(matrix)
+
+        monkeypatch.setattr(RationalMatrix, "__post_init__", counted)
+        run = decompose_run(raw_x, example_stable)
+        assert decompose(raw_x, example_stable) == canonical_x
+        assert built == []
+        for side in Side:
+            dominates(raw_x, canonical_x, example_stable, side)
+            for method in ("split", "lcm"):
+                join_random(raw_x, canonical_x, example_stable, side, method=method)
+                meet_random(raw_x, canonical_x, example_stable, side, method=method)
+            assert built == [], side
+        assert run.steps[0].residual.rows == X1_MATRIX
+        assert run.steps[1].residual.rows == X2_MATRIX
+        assert len(built) == 2
 
     def test_result_is_decreasing_and_expectation_preserving(
         self, raw_x, example_stable, example_market
@@ -589,6 +613,11 @@ class TestLcmRefine:
             checked += 1
             assert alignment.left_lottery() == cx
             assert alignment.right_lottery() == cy
+            parts = split(cx, cy, stable.market)
+            units = lambda side: tuple(m for c, m in zip(parts.counts, side) for _ in range(c))
+            assert (alignment.denominator, alignment.left, alignment.right) == (
+                parts.denominator, units(parts.left), units(parts.right)
+            )
             for side in Side:
                 for combine in (join_random, meet_random):
                     assert combine(x, y, stable, side, method="lcm") == combine(x, y, stable, side)
