@@ -35,7 +35,7 @@ from .lotteries import (
     random_rht_check,
     split,
 )
-from .prefs import Side, lad_violation, substitutability_violation
+from .prefs import AgentId, Side, profile_violations
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -75,38 +75,20 @@ def _format_lottery(lottery: Lottery, stable: StableSet) -> str:
 
 def _cmd_check(args) -> int:
     doc = parse_market(_read(args.market))
-    market = doc.build_market()
-    rows = [
-        (label, pref, doc.worker_names)
-        for label, pref in zip(doc.firm_names, market.firm_prefs)
-    ] + [
-        (label, pref, doc.firm_names)
-        for label, pref in zip(doc.worker_names, market.worker_prefs)
-    ]
-    failed = False
-    for label, pref, opposite in rows:
-        problems = []
-        witness = substitutability_violation(pref)
-        if witness is not None:
-            offer, sub, member = witness
-            problems.append(
-                f"substitutability violated: S={_format_subset(offer, opposite)}, "
-                f"S'={_format_subset(sub, opposite)}, b={opposite[member]}"
-            )
-        witness = lad_violation(pref)
-        if witness is not None:
-            offer, sub = witness
-            problems.append(
-                f"law of aggregated demand violated: S={_format_subset(offer, opposite)}, "
-                f"S'={_format_subset(sub, opposite)}"
-            )
-        if problems:
-            failed = True
-            for problem in problems:
-                print(f"{label}: {problem}")
+    problems: dict[AgentId, list[str]] = {}
+    for agent, axiom, witness in profile_violations(doc.build_market()):
+        opposite = doc.worker_names if agent.side is Side.FIRMS else doc.firm_names
+        offer, sub = (_format_subset(subset, opposite) for subset in witness[:2])
+        if axiom == "substitutability":
+            problem = f"substitutability violated: S={offer}, S'={sub}, b={opposite[witness[2]]}"
         else:
-            print(f"{label}: ok")
-    if failed:
+            problem = f"law of aggregated demand violated: S={offer}, S'={sub}"
+        problems.setdefault(agent, []).append(problem)
+    for side, names in ((Side.FIRMS, doc.firm_names), (Side.WORKERS, doc.worker_names)):
+        for index, label in enumerate(names):
+            for problem in problems.get(AgentId(side, index), ["ok"]):
+                print(f"{label}: {problem}")
+    if problems:
         return EXIT_AXIOM
     print("all preferences are substitutable and satisfy the law of aggregated demand")
     return EXIT_OK

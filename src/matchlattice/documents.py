@@ -187,9 +187,7 @@ def parse_market(data: Union[str, bytes]) -> MarketDocument:
         opposite = workers if name in set(firms) else firms
         preferences[name] = _parse_pref(raw_prefs[name], path, set(opposite))
 
-    doc = MarketDocument(firms, workers, preferences)
-    doc.build_market()  # surfaces core-level validation early
-    return doc
+    return MarketDocument(firms, workers, preferences)
 
 
 def _parse_pref(raw, path: str, opposite: set[str]) -> PrefSpec:

@@ -15,15 +15,18 @@ On canonical forms the package provides
 * :func:`lcm_refine` -- the split with every slice cut into unit slices of
   weight 1/e, e the split's denominator (refused above
   :data:`LCM_SLICE_GUARD` slices);
-* :func:`dominates` -- a stochastic-dominance order, per agent or per side;
-* :func:`split_dominates` -- the equivalent termwise order on the split;
+* :func:`dominates` -- the stochastic-dominance order, per agent or per
+  side, decided termwise on the split;
+* :func:`split_dominates` -- its weak half for a side;
 * :func:`join_random` / :func:`meet_random` -- least upper bound and
   greatest lower bound for a side, computed termwise over a refinement.
 
 Mass is counted in whole units of 1/D, D the lcm of the weight denominators:
-decomposition peels integer cell counts and both refinements are a
-:class:`SplitAlignment` of integer slice counts.  A :class:`~fractions.Fraction`
-is made per output weight or trace value read; no tolerance is used anywhere.
+decomposition peels integer cell counts, both refinements are a
+:class:`SplitAlignment` of integer slice counts, and the rural-hospital
+check compares cross-multiplied cell counts.  Dominance adds no weights at
+all.  A :class:`~fractions.Fraction` is made per output weight or trace
+value read; no tolerance is used anywhere.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Iterable, Union
 from .errors import CapacityError, ValidationError
 from .lattice import Cmp, StableSet, compare_side
 from .matchings import Matching, RationalMatrix, ZERO, ONE
-from .prefs import AgentId, Market, Preference, SetComparison, Side, mask_subset
+from .prefs import AgentId, Market, SetComparison, Side, mask_subset
 
 #: :func:`lcm_refine` refuses to build more slices than this.
 LCM_SLICE_GUARD = 10**6
@@ -402,43 +405,19 @@ class Dominance(Enum):
         return self in (Dominance.STRONGLY_DOMINATES, Dominance.EQUAL)
 
 
-def _weakly_dominates_agent(
-    cx: Lottery, cy: Lottery, pref: Preference, agent: AgentId
-) -> bool:
-    """The dominance inequalities for one agent, on canonical forms.
-
-    For every assignment ``v`` appearing in ``cy``, the mass ``cx`` puts on
-    assignments the agent likes at least as much as ``v`` must cover the
-    mass ``cy`` puts there.  Assignments incomparable to ``v`` count toward
-    neither sum.
-    """
-    x_assign = [(w, m.assigned_mask(agent)) for w, m in cx.terms]
-    y_assign = [(w, m.assigned_mask(agent)) for w, m in cy.terms]
-    for _, target in y_assign:
-        lhs = sum(
-            (w for w, a in x_assign
-             if pref.compare_masks(a, target) in (SetComparison.FIRST, SetComparison.EQUAL)),
-            ZERO,
-        )
-        rhs = sum(
-            (w for w, b in y_assign
-             if pref.compare_masks(b, target) in (SetComparison.FIRST, SetComparison.EQUAL)),
-            ZERO,
-        )
-        if lhs < rhs:
-            return False
-    return True
+_AT_LEAST = (SetComparison.FIRST, SetComparison.EQUAL)
 
 
-def _weakly_dominates(cx: Lottery, cy: Lottery, market: Market, who: Union[Side, AgentId]) -> bool:
-    if isinstance(who, AgentId):
-        agents: Iterable[AgentId] = (who,)
-    else:
-        nf, nw = market.shape
-        count = nf if who is Side.FIRMS else nw
-        agents = (AgentId(who, i) for i in range(count))
+def _favours(alignment: SplitAlignment, market: Market, who: Union[Side, AgentId], flipped: bool) -> bool:
+    """True iff every aligned pair weakly favours its left matching (its
+    right one when ``flipped``) for ``who``: one agent, or each agent on a side."""
+    agents = (who,) if isinstance(who, AgentId) else tuple(a for a in market.agents() if a.side is who)
+    prefs = [market.pref(agent) for agent in agents]
+    pairs = zip(alignment.right, alignment.left) if flipped else zip(alignment.left, alignment.right)
     return all(
-        _weakly_dominates_agent(cx, cy, market.pref(agent), agent) for agent in agents
+        pref.compare_masks(a.assigned_mask(agent), b.assigned_mask(agent)) in _AT_LEAST
+        for a, b in pairs
+        for agent, pref in zip(agents, prefs)
     )
 
 
@@ -446,14 +425,24 @@ def dominates(x: Lottery, y: Lottery, stable_set: StableSet, who: Union[Side, Ag
     """Stochastic-dominance position of ``x`` relative to ``y``.
 
     ``who`` is either a whole side (every agent on it must agree) or one
-    agent.  Inputs are canonicalised first, since the inequalities are
-    stated on decreasing representations.
+    agent.  ``x`` weakly dominates ``y`` for an agent when, for every
+    assignment v of ``y``'s decreasing representation, ``x`` puts at least as
+    much mass as ``y`` on the assignments the agent weakly prefers to v.
+
+    Both lotteries are canonicalised and split, and this is decided termwise:
+    ``x`` weakly dominates iff every aligned pair weakly favours its ``x``
+    matching.  The two agree.  If every pair passes, each unit of ``y``'s mass
+    at or above v is matched by ``x``'s mass on the same slice.  Along a
+    decreasing representation each agent's assignments form a chain in its
+    order (a partial order under substitutability), descending for firms and
+    ascending for workers.  So if slice k fails for a firm at v, ``y``'s
+    slice-k assignment, then ``y`` puts at least c_k on assignments at or
+    above v and ``x`` at most c_{k-1}, c_k being the weight of slices 1..k
+    (for a worker, read the slices from the other end).
     """
-    market = stable_set.market
-    cx = decompose(x, stable_set)
-    cy = decompose(y, stable_set)
-    forward = _weakly_dominates(cx, cy, market, who)
-    backward = _weakly_dominates(cy, cx, market, who)
+    alignment = _refined(x, y, stable_set, "split")
+    forward = _favours(alignment, stable_set.market, who, flipped=False)
+    backward = _favours(alignment, stable_set.market, who, flipped=True)
     if forward and backward:
         return Dominance.EQUAL
     if forward:
@@ -464,19 +453,10 @@ def dominates(x: Lottery, y: Lottery, stable_set: StableSet, who: Union[Side, Ag
 
 
 def split_dominates(x: Lottery, y: Lottery, stable_set: StableSet, side: Side) -> bool:
-    """Termwise order on the common refinement: true iff every aligned pair
-    of ``split(x, y)`` weakly favours ``x`` on ``side``.
-
-    Equivalent to weak dominance of ``x`` over ``y`` for that side.
-    """
-    market = stable_set.market
-    cx = decompose(x, stable_set)
-    cy = decompose(y, stable_set)
-    alignment = split(cx, cy, market)
-    return all(
-        compare_side(a, b, market, side).at_least
-        for a, b in zip(alignment.left, alignment.right)
-    )
+    """True iff ``x`` weakly dominates ``y`` for ``side``: every aligned pair
+    of the split of their decreasing representations weakly favours ``x``
+    (the forward half of :func:`dominates`)."""
+    return _favours(_refined(x, y, stable_set, "split"), stable_set.market, side, flipped=False)
 
 
 def _combine_termwise(
@@ -503,6 +483,7 @@ def _combine_termwise(
 
 
 def _refined(x: Lottery, y: Lottery, stable_set: StableSet, method: str) -> SplitAlignment:
+    """Both lotteries canonicalised and aligned by ``method``, "split" or "lcm"."""
     market = stable_set.market
     cx = decompose(x, stable_set)
     cy = decompose(y, stable_set)
@@ -541,6 +522,9 @@ def random_rht_check(x: Lottery, y: Lottery) -> bool:
     all column sums."""
     if x.shape != y.shape:
         raise ValidationError("lotteries come from different markets", code="mismatched-market")
-    ex = x.expectation()
-    ey = y.expectation()
-    return ex.row_sums() == ey.row_sums() and ex.col_sums() == ey.col_sums()
+    (dx, cells_x), (dy, cells_y) = _cell_counts(x), _cell_counts(y)
+    # Row then column sums, each count scaled by the other's denominator.
+    def line_sums(cells, scale):
+        return [scale * sum(line) for line in chain(cells, zip(*cells))]
+
+    return line_sums(cells_x, dy) == line_sums(cells_y, dx)

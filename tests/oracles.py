@@ -6,7 +6,8 @@ bitmasks): rank lists are scanned literally, stability enumerates every
 agent and every pair, and the stable set is recomputed either from all
 2^(F*W) edge subsets or from the product of every firm's individually
 rational rows.  The decreasing decomposition follows the paper's literal
-rescaling recurrence on Fraction grids.
+rescaling recurrence on Fraction grids, and stochastic dominance is the
+literal sum of its inequalities.
 """
 
 from __future__ import annotations
@@ -149,14 +150,32 @@ def expectation_oracle(terms) -> tuple:
     return tuple(tuple(row) for row in grid)
 
 
-def weak_dominance_oracle(cx, cy, pref, assigned) -> bool:
-    """Dominance inequalities with the cumulative-weight shortcut.
+def dominance_sums_oracle(cx, cy, pref, assigned) -> bool:
+    """The dominance inequalities by their literal two-sided sum.
 
-    On a decreasing representation, the mass the second lottery puts on
-    assignments at least as good as its own j-th term is the cumulative
-    weight through j (through the end of a run of equal assignments), so
-    the check reduces to comparing against running prefix sums.  Used to
-    cross-check the literal two-sided sum in the package.
+    For every assignment v of ``cy``, the mass ``cx`` puts on assignments
+    the agent likes at least as much as v must cover the mass ``cy`` puts
+    there; assignments incomparable to v count toward neither sum.
+    ``assigned`` maps a matching to the agent's partner set.
+    """
+    def mass_at_least(lottery, target):
+        return sum(
+            (w for w, m in lottery.terms if prefers_oracle(pref, assigned(m), target) in ("first", "equal")),
+            Fraction(0),
+        )
+
+    return all(mass_at_least(cx, assigned(m)) >= mass_at_least(cy, assigned(m)) for _, m in cy.terms)
+
+
+def weak_dominance_oracle(cx, cy, pref, assigned) -> bool:
+    """Dominance inequalities with the cumulative-weight shortcut, for firms.
+
+    On a decreasing representation a firm's assignments descend, so the mass
+    the second lottery puts on assignments at least as good as its own j-th
+    term is the cumulative weight through j (through the end of a run of
+    equal assignments), and the check reduces to comparing against running
+    prefix sums.  A worker's assignments ascend, so the shortcut does not
+    hold for workers; :func:`dominance_sums_oracle` serves both sides.
     """
     y_sets = [assigned(m) for _, m in cy.terms]
     prefix = Fraction(0)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from matchlattice import (
+    Preference,
     RankedPreference,
     ResponsivePreference,
     ValidationError,
@@ -65,6 +66,22 @@ class TestParseMarket:
 
     def test_round_trip(self, example_doc):
         assert parse_market(dump_market(example_doc)) == example_doc
+
+    def test_parse_builds_no_preference(self, monkeypatch):
+        # The parser's own checks reach every constructor refusal first, so
+        # parsing leaves building the market to its caller.
+        built = []
+        construct = Preference.__init__
+
+        def counted(pref, *args):
+            built.append(pref)
+            construct(pref, *args)
+
+        monkeypatch.setattr(Preference, "__init__", counted)
+        doc = parse_market((DATA_DIR / "example_market.json").read_bytes())
+        assert built == []
+        doc.build_market()
+        assert len(built) == 8
 
     def test_malformed_json(self):
         assert error_code(parse_market, b"{not json") == "malformed-json"

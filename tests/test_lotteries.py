@@ -35,7 +35,7 @@ from matchlattice import (
 from matchlattice import lattice
 from matchlattice.lotteries import LCM_SLICE_GUARD, _combine_termwise
 from conftest import alternative_representations, block_diagonal_market, random_lottery
-from oracles import decompose_oracle, expectation_oracle, weak_dominance_oracle
+from oracles import decompose_oracle, dominance_sums_oracle, expectation_oracle, weak_dominance_oracle
 
 
 def fr(text):
@@ -157,6 +157,7 @@ class TestDecompose:
         monkeypatch.setattr(RationalMatrix, "__post_init__", counted)
         run = decompose_run(raw_x, example_stable)
         assert decompose(raw_x, example_stable) == canonical_x
+        assert random_rht_check(raw_x, canonical_x)
         assert built == []
         for side in Side:
             dominates(raw_x, canonical_x, example_stable, side)
@@ -406,6 +407,78 @@ class TestDominance:
                 assert split_dominates(a, b, example_stable, side) == dominates(
                     a, b, example_stable, side
                 ).weakly_dominates
+
+
+class TestDominanceOracle:
+    """``dominates`` for every agent and both sides, and ``split_dominates``
+    for both sides, against the literal inequality sums on canonical forms
+    from the paper's rescaling recurrence.  Every raw lottery also enters
+    with each term halved and repeated."""
+
+    @staticmethod
+    def verdict(forward, backward):
+        return {
+            (True, True): Dominance.EQUAL,
+            (True, False): Dominance.STRONGLY_DOMINATES,
+            (False, True): Dominance.STRONGLY_DOMINATED,
+            (False, False): Dominance.INCOMPARABLE,
+        }[forward, backward]
+
+    def check(self, stable, lotteries):
+        """Check every ordered pair; return the agent- and side-level verdicts seen."""
+        market = stable.market
+        raw = [r for x in lotteries for r in (x, alternative_representations(x, stable)[0])]
+        canonical = [Lottery(decompose_oracle(x.terms, list(stable), market)[1]) for x in raw]
+        assigned = {
+            agent: (lambda m, i=agent.index: m.firm_set(i)) if agent.side is Side.FIRMS
+            else (lambda m, j=agent.index: m.worker_set(j))
+            for agent in market.agents()
+        }
+        seen = {"agent": set(), "side": set()}
+        for x, cx in zip(raw, canonical):
+            for y, cy in zip(raw, canonical):
+                weakly = {
+                    agent: tuple(
+                        dominance_sums_oracle(a, b, market.pref(agent), assigned[agent])
+                        for a, b in ((cx, cy), (cy, cx))
+                    )
+                    for agent in market.agents()
+                }
+                for agent, (forward, backward) in weakly.items():
+                    expected = self.verdict(forward, backward)
+                    assert dominates(x, y, stable, agent) is expected, (x, y, agent)
+                    seen["agent"].add(expected)
+                for side in Side:
+                    forward, backward = (
+                        all(pair[k] for agent, pair in weakly.items() if agent.side is side)
+                        for k in (0, 1)
+                    )
+                    expected = self.verdict(forward, backward)
+                    assert dominates(x, y, stable, side) is expected, (x, y, side)
+                    assert split_dominates(x, y, stable, side) == forward, (x, y, side)
+                    seen["side"].add(expected)
+        return seen
+
+    def test_golden_lattice(self, raw_x, canonical_y, example_stable):
+        rng = random.Random(31)
+        lotteries = [raw_x, canonical_y] + [random_lottery(rng, example_stable) for _ in range(6)]
+        seen = self.check(example_stable, lotteries)
+        assert seen == {"agent": set(Dominance), "side": set(Dominance)}
+
+    @pytest.mark.parametrize("sizes", [(3, 2), (2, 2)])
+    def test_block_market(self, sizes):
+        stable = enumerate_stable(block_diagonal_market(sizes))
+        rng = random.Random(37)
+        seen = self.check(stable, [random_lottery(rng, stable) for _ in range(6)])
+        # In a 2-block an agent has two possible partners, over which the
+        # order is total, so only the side-level verdicts cover all four.
+        assert seen["side"] == set(Dominance)
+
+    def test_corpus(self, corpus):
+        cases = [case for case in corpus if len(case.stable) >= 2]
+        assert len(cases) >= 30
+        for case in cases:
+            self.check(case.stable, case.lotteries[:2])
 
 
 class TestJoinMeetRandom:
