@@ -6,9 +6,13 @@ proposing, gives the firm-optimal and the worker-optimal stable matching.
 Every stable matching lies between the two in the firms' order, and by the
 rural hospital property gives each firm as many partners as the
 firm-optimal one, so each firm row ranges only over the individually
-rational subsets inside that bracket.  Every combination of the surviving
-rows is screened with :func:`~matchlattice.matchings.find_blocking`, the
-package's one definition of stability.
+rational subsets inside that bracket.  A backtracking search then places the
+firms one at a time from their bracketed rows.  The same property fixes
+every worker's partner count, so a branch is cut as soon as a worker cannot
+end with that count, or ends with it in a way no stable matching allows.
+Every matching the search completes is screened with
+:func:`~matchlattice.matchings.find_blocking`, the package's one definition
+of stability.
 
 Join and meet are computed by pointing functions.  The firm-side join of two
 stable matchings gives every firm its choice from the union of its two
@@ -20,15 +24,15 @@ greatest lower bound in the firms' common partial order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
+from operator import or_
 from typing import Iterable
 
 from .errors import AxiomError, CapacityError, ValidationError
 from .matchings import Matching, find_blocking
-from .prefs import Market, Side, profile_violations
+from .prefs import Market, Side, mask_subset, profile_violations
 
 #: Largest market (firm count times worker count) the enumerator accepts.
 ENUMERATION_GUARD = 25
@@ -264,14 +268,81 @@ def _bracketed_rows(pref, n_opposite: int, top: int, bottom: int) -> list[int]:
     ]
 
 
+def _search(market: Market, rows_per_firm: list[list[int]], need: list[int]) -> list[Matching]:
+    """Stable matchings among the bracketed rows, placing firms in order.
+
+    ``need[j]`` is worker ``j``'s partner count, the same in every stable
+    matching.  A branch is cut when a worker goes over its count, can no
+    longer reach it from the firms still to be placed, or has reached it and
+    either rejects part of its assignment or forms a blocking pair with a
+    firm already placed.  Each cut drops only unstable matchings, and every
+    completed matching is still screened by :func:`find_blocking`.
+    """
+    nf, nw = market.shape
+    firm_prefs, worker_prefs = market.firm_prefs, market.worker_prefs
+    unions = [reduce(or_, rows, 0) for rows in rows_per_firm]
+    # reach[k][j]: how many of the firms k, k+1, ... have a row holding worker j
+    reach = [[0] * nw]
+    for union in reversed(unions):
+        reach.append([r + (union >> j & 1) for j, r in enumerate(reach[-1])])
+    reach.reverse()
+    options = [
+        [(row, mask_subset(row), mask_subset(union & ~row)) for row in rows]
+        for rows, union in zip(rows_per_firm, unions)
+    ]
+    rows = [0] * nf
+    held = [0] * nw  # firms placed so far that hold each worker
+    found = []
+
+    def blocks(i: int, j: int) -> bool:
+        return bool(
+            firm_prefs[i].choice_mask(rows[i] | 1 << j) >> j & 1
+            and worker_prefs[j].choice_mask(held[j] | 1 << i) >> i & 1
+        )
+
+    def settled(j: int, placed: int) -> bool:
+        """Worker j, at its count, keeps its whole assignment and blocks
+        with none of the first ``placed`` firms."""
+        return worker_prefs[j].choice_mask(held[j]) == held[j] and not any(
+            blocks(i, j) for i in range(placed) if not rows[i] >> j & 1
+        )
+
+    def place(k: int, full: int) -> None:
+        if k == nf:
+            matching = Matching(tuple(rows), nw)
+            if find_blocking(matching, market) is None:
+                found.append(matching)
+            return
+        later, bit, finished = reach[k + 1], 1 << k, mask_subset(full)
+        for row, taken, passed in options[k]:
+            if row & full:
+                continue
+            rows[k] = row
+            for j in taken:
+                held[j] |= bit
+            fresh = [j for j in taken if held[j].bit_count() == need[j]]
+            if (
+                all(held[j].bit_count() + later[j] >= need[j] for j in passed)
+                and not any(blocks(k, j) for j in finished)
+                and all(settled(j, k + 1) for j in fresh)
+            ):
+                place(k + 1, full | sum(1 << j for j in fresh))
+            for j in taken:
+                held[j] ^= bit
+
+    place(0, sum(1 << j for j in range(nw) if need[j] == 0))
+    return found
+
+
 def enumerate_stable(market: Market) -> StableSet:
     """Enumerate the full stable set between its two extremal matchings.
 
     Every preference must pass both axiom checks first; a violation is
     reported with its witness, since without the axioms the lattice
     operations downstream are meaningless.  Deferred acceptance from each
-    side then brackets every firm's possible rows, and each combination of
-    bracketed rows is screened for stability.
+    side then brackets every firm's possible rows and fixes every worker's
+    partner count, and a backtracking search over the bracketed rows keeps
+    the stable combinations.
     """
     cells = market.num_firms * market.num_workers
     if cells > ENUMERATION_GUARD:
@@ -287,19 +358,16 @@ def enumerate_stable(market: Market) -> StableSet:
         )
 
     nf, nw = market.shape
-    top = _deferred_acceptance(market.firm_prefs, market.worker_prefs)
+    top = Matching(_deferred_acceptance(market.firm_prefs, market.worker_prefs), nw)
     bottom = Matching.from_worker_masks(
         nf, _deferred_acceptance(market.worker_prefs, market.firm_prefs)
     ).firm_masks
     rows_per_firm = [
         _bracketed_rows(pref, nw, high, low)
-        for pref, high, low in zip(market.firm_prefs, top, bottom)
+        for pref, high, low in zip(market.firm_prefs, top.firm_masks, bottom)
     ]
-    found = [
-        m
-        for m in (Matching(rows, nw) for rows in itertools.product(*rows_per_firm))
-        if find_blocking(m, market) is None
-    ]
+    need = [mask.bit_count() for mask in top.worker_masks]
+    found = _search(market, rows_per_firm, need)
     found.sort(key=lambda m: m.firm_masks)
     table = tuple(
         tuple(compare_firms(a, b, market) for b in found) for a in found

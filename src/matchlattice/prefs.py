@@ -17,20 +17,23 @@ axiom checks, the stable-set enumeration and the lattice operations all
 repeat the same choice queries.
 
 The two axioms that make the stable set a lattice -- substitutability and
-the law of aggregated demand (LAD) -- are checked exhaustively over all
-subset pairs, guarded at :data:`AXIOM_GUARD` opposite-side agents.
+the law of aggregated demand (LAD) -- are checked in their one-removal
+forms: every offer against each offer with one partner fewer, ``n * 2**n``
+memoised choice calls for ``n`` opposite-side agents, within the budget
+that :data:`AXIOM_GUARD` sets.  Responsive preferences satisfy both by
+construction and are not searched.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
 from .errors import CapacityError, ValidationError
 
-#: Largest opposite side for which the exhaustive axiom checks will run.
+#: Largest opposite side for which the axiom checks will run; the budget is
+#: ``AXIOM_GUARD * 2**AXIOM_GUARD`` choice calls per agent.
 AXIOM_GUARD = 16
 
 
@@ -216,73 +219,60 @@ class ResponsivePreference(Preference):
         return f"ResponsivePreference({self.owner}, q={self.quota}, priority={self.priority})"
 
 
-def responsive_to_ranked(pref: ResponsivePreference) -> RankedPreference:
-    """Expand a responsive preference into an equivalent explicit ranking.
-
-    Subsets of the priority list up to quota size, larger subsets first and,
-    within a size, ordered lexicographically by priority positions.  The
-    expansion induces exactly the same choice function.
-    """
-    ranking = []
-    top = min(pref.quota, len(pref.priority))
-    for size in range(top, 0, -1):
-        for positions in itertools.combinations(range(len(pref.priority)), size):
-            ranking.append(tuple(pref.priority[p] for p in positions))
-    return RankedPreference(pref.owner, pref.n_opposite, ranking)
-
-
 def _guard(pref: Preference, what: str) -> None:
-    if pref.n_opposite > AXIOM_GUARD:
+    n = pref.n_opposite
+    estimate, budget = n << n, AXIOM_GUARD << AXIOM_GUARD
+    if estimate > budget:
         raise CapacityError(
-            f"{what} check is exhaustive and refuses opposite sides larger "
-            f"than {AXIOM_GUARD} (got {pref.n_opposite})"
+            f"{what} check of {pref.owner} needs {n}*2^{n} = {estimate:,} choice calls, "
+            f"over the budget of {AXIOM_GUARD}*2^{AXIOM_GUARD} = {budget:,}"
         )
 
 
 def substitutability_violation(
     pref: Preference,
 ) -> Optional[tuple[frozenset[int], frozenset[int], int]]:
-    """Search all subset pairs for a substitutability failure.
+    """Search for a substitutability failure by one-partner removals.
 
-    Returns ``(S, S', b)`` with ``b`` chosen from ``S`` but rejected from the
-    sub-offer ``S' | {b}`` with ``S' <= S``, or ``None`` if the preference is
-    substitutable.
+    Returns ``(S, S', b)`` with ``S' = S - {a}`` for some ``a``, ``b`` chosen
+    from ``S`` but rejected from ``S'``, or ``None`` if the preference is
+    substitutable.  Removals suffice: if every ``Ch(S) - {a}`` is kept by
+    ``Ch(S - {a})``, a chosen ``b`` survives any chain of removals down to a
+    sub-offer that still contains it (the monotone rejection function of
+    Hatfield and Milgrom 2005).
     """
     _guard(pref, "substitutability")
-    for offer in range(1 << pref.n_opposite):
-        chosen = pref.choice_mask(offer)
-        picked = chosen
-        while picked:
-            low = picked & -picked
-            picked ^= low
-            member = low.bit_length() - 1
-            rest = offer & ~low
-            sub = rest
-            while True:
-                if not pref.choice_mask(sub | low) & low:
-                    return (mask_subset(offer), mask_subset(sub | low), member)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & rest
+    choice = pref.choice_mask
+    for offer in range(1, 1 << pref.n_opposite):
+        chosen = choice(offer)
+        rest = offer
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            lost = chosen & ~low & ~choice(offer ^ low)
+            if lost:
+                member = (lost & -lost).bit_length() - 1
+                return (mask_subset(offer), mask_subset(offer ^ low), member)
     return None
 
 
 def lad_violation(pref: Preference) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    """Search all subset pairs for a law-of-aggregated-demand failure.
+    """Search for a law-of-aggregated-demand failure by one-partner removals.
 
-    Returns ``(S, S')`` with ``S' <= S`` but ``|choice(S')| > |choice(S)|``,
-    or ``None`` if the chosen-set size is monotone in the offer.
+    Returns ``(S, S')`` with ``S' = S - {a}`` for some ``a`` but
+    ``|choice(S')| > |choice(S)|``, or ``None`` if the chosen-set size is
+    monotone in the offer, which follows along chains of removals.
     """
     _guard(pref, "law-of-aggregated-demand")
-    for offer in range(1 << pref.n_opposite):
-        size = pref.choice_mask(offer).bit_count()
-        sub = offer
-        while True:
-            if pref.choice_mask(sub).bit_count() > size:
-                return (mask_subset(offer), mask_subset(sub))
-            if sub == 0:
-                break
-            sub = (sub - 1) & offer
+    choice = pref.choice_mask
+    for offer in range(1, 1 << pref.n_opposite):
+        size = choice(offer).bit_count()
+        rest = offer
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if choice(offer ^ low).bit_count() > size:
+                return (mask_subset(offer), mask_subset(offer ^ low))
     return None
 
 
@@ -331,11 +321,16 @@ def profile_violations(market: Market) -> list[tuple[AgentId, str, tuple]]:
     """Run both axiom checks on every agent.
 
     Returns a list of ``(agent, axiom-name, witness)`` triples; empty when
-    the whole profile is substitutable and satisfies LAD.
+    the whole profile is substitutable and satisfies LAD.  Every agent is
+    held to the size guard, but a :class:`ResponsivePreference` satisfies
+    both axioms by construction and is not searched.
     """
     failures = []
     for agent in market.agents():
         pref = market.pref(agent)
+        _guard(pref, "axiom")
+        if isinstance(pref, ResponsivePreference):
+            continue
         witness = substitutability_violation(pref)
         if witness is not None:
             failures.append((agent, "substitutability", witness))

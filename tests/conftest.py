@@ -1,7 +1,7 @@
 """Shared fixtures: the golden 4x4 market, its lotteries, and the generated
 responsive-market corpus used by the property and acceptance tests; plus the
-block-diagonal market builder and the expectation-preserving rewritings of a
-lottery, which several test modules share."""
+block-diagonal and one-firm market builders and the expectation-preserving
+rewritings of a lottery, which several test modules share."""
 
 from __future__ import annotations
 
@@ -225,6 +225,14 @@ def block_diagonal_market(sizes=(3, 2)):
     return Market(
         tuple(ResponsivePreference(AgentId(Side.FIRMS, i), start, 1, p) for i, p in enumerate(firms)),
         tuple(ResponsivePreference(AgentId(Side.WORKERS, j), start, 1, p) for j, p in enumerate(workers)),
+    )
+
+
+def one_firm_market(n_workers: int) -> Market:
+    """One responsive firm facing ``n_workers`` workers who all accept it."""
+    return Market(
+        (ResponsivePreference(AgentId(Side.FIRMS, 0), n_workers, 1, range(n_workers)),),
+        tuple(ResponsivePreference(AgentId(Side.WORKERS, j), 1, 1, [0]) for j in range(n_workers)),
     )
 
 

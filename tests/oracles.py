@@ -5,9 +5,10 @@ with no shared code paths into the package internals (which work on
 bitmasks): rank lists are scanned literally, stability enumerates every
 agent and every pair, and the stable set is recomputed either from all
 2^(F*W) edge subsets or from the product of every firm's individually
-rational rows.  The decreasing decomposition follows the paper's literal
-rescaling recurrence on Fraction grids, and stochastic dominance is the
-literal sum of its inequalities.
+rational rows.  The two preference axioms are searched over every pair of
+an offer and a sub-offer.  The decreasing decomposition follows the paper's
+literal rescaling recurrence on Fraction grids, and stochastic dominance is
+the literal sum of its inequalities.
 """
 
 from __future__ import annotations
@@ -37,6 +38,44 @@ def choice_oracle(pref, offered: frozenset) -> frozenset:
     assert isinstance(pref, ResponsivePreference)
     ranked = [p for p in pref.priority if p in offered]
     return frozenset(ranked[: pref.quota])
+
+
+def responsive_to_ranked(pref: ResponsivePreference) -> RankedPreference:
+    """Expand a responsive preference into an equivalent explicit ranking.
+
+    Subsets of the priority list up to quota size, larger subsets first and,
+    within a size, ordered lexicographically by priority positions.  The
+    expansion induces exactly the same choice function.
+    """
+    ranking = []
+    top = min(pref.quota, len(pref.priority))
+    for size in range(top, 0, -1):
+        for positions in combinations(range(len(pref.priority)), size):
+            ranking.append(tuple(pref.priority[p] for p in positions))
+    return RankedPreference(pref.owner, pref.n_opposite, ranking)
+
+
+def substitutability_oracle(pref):
+    """Every offer S, every b chosen from S and every sub-offer S' of S that
+    keeps b: b must be chosen from S'.  Returns the first ``(S, S', b)``
+    that fails, or ``None``."""
+    for offer in map(frozenset, powerset(range(pref.n_opposite))):
+        for member in sorted(choice_oracle(pref, offer)):
+            for sub in map(frozenset, powerset(offer - {member})):
+                if member not in choice_oracle(pref, sub | {member}):
+                    return (offer, sub | {member}, member)
+    return None
+
+
+def lad_oracle(pref):
+    """Every offer S and every sub-offer S' of S: S' may not have more chosen
+    than S.  Returns the first ``(S, S')`` that fails, or ``None``."""
+    for offer in map(frozenset, powerset(range(pref.n_opposite))):
+        size = len(choice_oracle(pref, offer))
+        for sub in map(frozenset, powerset(offer)):
+            if len(choice_oracle(pref, sub)) > size:
+                return (offer, sub)
+    return None
 
 
 def prefers_oracle(pref, first: frozenset, second: frozenset) -> str:

@@ -1,13 +1,16 @@
 """End-to-end exercise of every CLI subcommand and its exit codes."""
 
 import json
+import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from matchlattice import parse_lottery, parse_market
+from matchlattice import AgentId, ResponsivePreference, Side, parse_lottery, parse_market
 from matchlattice.cli import main
 from conftest import DATA_DIR, INVALID_PREFERENCES
+from oracles import lad_oracle, responsive_to_ranked, substitutability_oracle
 
 MARKET = str(DATA_DIR / "example_market.json")
 X_RAW = str(DATA_DIR / "example_x_raw.json")
@@ -19,6 +22,38 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def ranked_market_document(seed):
+    """A small market of explicit rankings.  Each agent ranks either the
+    expansion of a random responsive preference, which satisfies both
+    axioms, or a random prefix of its shuffled nonempty subsets, which
+    often violates one."""
+    rng = random.Random(seed)
+    firms = [f"f{i + 1}" for i in range(rng.randint(1, 3))]
+    workers = [f"w{j + 1}" for j in range(rng.randint(1, 3))]
+    preferences = {}
+    for side, names, opposite in ((Side.FIRMS, firms, workers), (Side.WORKERS, workers, firms)):
+        n = len(opposite)
+        for index, name in enumerate(names):
+            if rng.random() < 0.6:
+                priority = rng.sample(range(n), rng.randint(1, n))
+                pref = ResponsivePreference(AgentId(side, index), n, rng.randint(1, n), priority)
+                ranking = [sorted(subset) for subset in responsive_to_ranked(pref).ranking]
+            else:
+                ranking = [list(c) for r in range(1, n + 1) for c in combinations(range(n), r)]
+                rng.shuffle(ranking)
+                ranking = ranking[: rng.randint(1, len(ranking))]
+            preferences[name] = {"ranked": [[opposite[k] for k in subset] for subset in ranking]}
+    return {"firms": firms, "workers": workers, "preferences": preferences}
+
+
+def oracle_violates(text):
+    market = parse_market(text).build_market()
+    return any(
+        substitutability_oracle(pref) is not None or lad_oracle(pref) is not None
+        for pref in market.firm_prefs + market.worker_prefs
+    )
 
 
 class TestCheck:
@@ -44,6 +79,33 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path))
         assert code == 4
         assert "substitutability violated" in out
+
+
+    def test_exit_codes_follow_the_oracles(self, capsys, tmp_path):
+        assert not oracle_violates(Path(MARKET).read_bytes())
+        verdicts = []
+        for seed in range(48):
+            text = json.dumps(ranked_market_document(seed))
+            path = tmp_path / f"ranked{seed}.json"
+            path.write_text(text)
+            violates = oracle_violates(text)
+            code, out, _ = run(capsys, "check", str(path))
+            assert code == (4 if violates else 0), (seed, out)
+            verdicts.append(violates)
+        assert 10 <= sum(verdicts) <= 38, sum(verdicts)
+
+    def test_responsive_agent_past_the_axiom_budget_exits_three(self, capsys, tmp_path):
+        workers = [f"w{j}" for j in range(1, 18)]
+        prefs = {"f1": {"responsive": {"quota": 1, "priority": workers}}}
+        for w in workers:
+            prefs[w] = {"responsive": {"quota": 1, "priority": ["f1"]}}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"firms": ["f1"], "workers": workers, "preferences": prefs}))
+        for command in ("check", "enumerate"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 3, command
+            assert "error[capacity]" in err and "1,048,576" in err
+            assert out == ""
 
 
 class TestEnumerate:

@@ -21,6 +21,7 @@ from matchlattice import (
     compare_firms,
     compare_workers,
     enumerate_stable,
+    find_blocking,
     hasse_edges,
     join_f,
     meet_f,
@@ -29,8 +30,9 @@ from matchlattice import (
     rht_check,
     to_dot,
 )
-from matchlattice.lattice import _deferred_acceptance
-from conftest import block_diagonal_market
+from matchlattice import lattice
+from matchlattice.lattice import _bracketed_rows, _deferred_acceptance
+from conftest import block_diagonal_market, one_firm_market
 from oracles import (
     choice_oracle,
     enumerate_oracle,
@@ -80,6 +82,16 @@ def responsive_market(seed, size, quota):
             for j in range(size)
         ),
     )
+
+
+def extremes(market):
+    """The firm-proposing and the worker-proposing deferred-acceptance matchings."""
+    nf, nw = market.shape
+    firm_side = Matching(_deferred_acceptance(market.firm_prefs, market.worker_prefs), nw)
+    worker_side = Matching.from_worker_masks(
+        nf, _deferred_acceptance(market.worker_prefs, market.firm_prefs)
+    )
+    return firm_side, worker_side
 
 
 class TestEnumerate:
@@ -156,23 +168,14 @@ class TestBracketedEnumeration:
         assert list(stable.matchings) == expected
         assert stable.firm_table == firm_table_oracle(expected, market)
 
-    @staticmethod
-    def _extremes(market):
-        nf, nw = market.shape
-        firm_side = Matching(_deferred_acceptance(market.firm_prefs, market.worker_prefs), nw)
-        worker_side = Matching.from_worker_masks(
-            nf, _deferred_acceptance(market.worker_prefs, market.firm_prefs)
-        )
-        return firm_side, worker_side
-
     def test_deferred_acceptance_gives_the_extremes_on_golden(self, example_market, example_stable, nus):
-        firm_side, worker_side = self._extremes(example_market)
+        firm_side, worker_side = extremes(example_market)
         assert firm_side == example_stable.firm_optimal == nus[0]
         assert worker_side == example_stable.firm_pessimal == nus[3]
 
     def test_deferred_acceptance_gives_the_extremes_on_corpus(self, corpus):
         for case in corpus:
-            firm_side, worker_side = self._extremes(case.market)
+            firm_side, worker_side = extremes(case.market)
             assert firm_side == case.stable.firm_optimal, case.seed
             assert worker_side == case.stable.firm_pessimal, case.seed
 
@@ -191,6 +194,61 @@ class TestBracketedEnumeration:
         for a, b in itertools.product(stable, repeat=2):
             assert join_f(a, b, market) in stable
             assert meet_f(a, b, market) in stable
+
+
+def rotation_market(size=5, quota=2):
+    """Firm i ranks workers i, i+1, ... and worker j ranks firms j+1, j+2, ...
+    (mod size), everyone with the same quota.  At 5x5 with quota 2 every firm
+    keeps 7 bracketed rows, a product of 7^5 = 16,807 candidates."""
+    return Market(
+        tuple(
+            ResponsivePreference(AgentId(Side.FIRMS, i), size, quota, [(i + k) % size for k in range(size)])
+            for i in range(size)
+        ),
+        tuple(
+            ResponsivePreference(AgentId(Side.WORKERS, j), size, quota, [(j + 1 + k) % size for k in range(size)])
+            for j in range(size)
+        ),
+    )
+
+
+class TestSearch:
+    """The backtracking search against the screened product of the same
+    bracketed rows, and on markets too large for any product."""
+
+    def test_rotation_market_matches_the_screened_product(self):
+        market = rotation_market()
+        nw = market.num_workers
+        top, bottom = extremes(market)
+        rows_per_firm = [
+            _bracketed_rows(pref, nw, high, low)
+            for pref, high, low in zip(market.firm_prefs, top.firm_masks, bottom.firm_masks)
+        ]
+        candidates = [Matching(rows, nw) for rows in itertools.product(*rows_per_firm)]
+        assert len(candidates) == 16_807
+        screened = sorted(
+            (m for m in candidates if find_blocking(m, market) is None), key=lambda m: m.firm_masks
+        )
+        assert len(screened) == 4
+        assert all(stable_oracle(m, market) for m in screened)
+        assert list(enumerate_stable(market)) == screened
+
+    def test_three_latin_blocks_past_the_cell_guard(self, monkeypatch):
+        monkeypatch.setattr(lattice, "ENUMERATION_GUARD", 144)
+        market = block_diagonal_market((4, 4, 4))
+        start = time.perf_counter()
+        stable = enumerate_stable(market)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"enumeration took {elapsed:.2f} s"
+        assert len(set(stable)) == len(stable) == 4 ** 3
+        for m in stable:
+            assert stable_oracle(m, market)
+
+    def test_responsive_agents_keep_the_axiom_size_guard(self):
+        # 17 cells pass the enumeration guard; the firm's 17 workers exceed
+        # the axiom budget even though a responsive firm is never searched.
+        with pytest.raises(CapacityError):
+            enumerate_stable(one_firm_market(17))
 
 
 class TestFirmOrder:

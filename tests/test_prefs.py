@@ -15,10 +15,17 @@ from matchlattice import (
     ValidationError,
     lad_violation,
     profile_violations,
-    responsive_to_ranked,
     substitutability_violation,
 )
-from oracles import choice_oracle, powerset, prefers_oracle
+from conftest import one_firm_market
+from oracles import (
+    choice_oracle,
+    lad_oracle,
+    powerset,
+    prefers_oracle,
+    responsive_to_ranked,
+    substitutability_oracle,
+)
 
 F1 = AgentId(Side.FIRMS, 0)
 
@@ -181,6 +188,55 @@ class TestAxioms:
             substitutability_violation(pref)
         with pytest.raises(CapacityError):
             lad_violation(pref)
+
+
+class TestLocalAxioms:
+    """The one-removal checks against the exhaustive subset-pair oracles."""
+
+    def test_verdicts_equal_the_oracles_on_random_rankings(self):
+        rng = random.Random(11)
+        violations = {"substitutability": 0, "lad": 0}
+        for _ in range(3000):
+            n = rng.randint(1, 5)
+            pref = random_ranked(rng, n=n)
+            witness = substitutability_violation(pref)
+            assert (witness is None) == (substitutability_oracle(pref) is None), pref.ranking
+            if witness is not None:
+                violations["substitutability"] += 1
+                offer, sub, member = witness
+                assert sub < offer and len(offer - sub) == 1
+                assert member in choice_oracle(pref, offer)
+                assert member in sub and member not in choice_oracle(pref, sub)
+            witness = lad_violation(pref)
+            assert (witness is None) == (lad_oracle(pref) is None), pref.ranking
+            if witness is not None:
+                violations["lad"] += 1
+                offer, sub = witness
+                assert sub < offer and len(offer - sub) == 1
+                assert len(choice_oracle(pref, sub)) > len(choice_oracle(pref, offer))
+        # both verdicts occur often enough for the agreement to mean something
+        assert min(violations.values()) >= 300, violations
+        assert violations["substitutability"] <= 2700, violations
+
+    def test_random_responsive_preferences_pass_the_oracles(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            pref = responsive(rng.randint(0, n), rng.sample(range(n), rng.randint(0, n)), n=n)
+            assert substitutability_oracle(pref) is None, pref
+            assert lad_oracle(pref) is None, pref
+
+    def test_profile_check_does_not_search_responsive_agents(self):
+        market = one_firm_market(16)
+        assert profile_violations(market) == []
+        for pref in market.firm_prefs + market.worker_prefs:
+            assert pref._memo == {}  # no choice was ever asked for
+
+    def test_profile_check_still_guards_responsive_agents(self):
+        with pytest.raises(CapacityError) as info:
+            profile_violations(one_firm_market(17))
+        message = str(info.value)
+        assert "17*2^17 = 2,228,224" in message and "16*2^16 = 1,048,576" in message
 
 
 class TestValidation:
