@@ -50,6 +50,13 @@ def _read(path: str) -> bytes:
         raise ValidationError(f"cannot read {path}: {exc}", code="io") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}", code="io") from None
+
+
 def _load_stable(path: str) -> tuple[MarketDocument, StableSet]:
     doc = parse_market(_read(path))
     return doc, enumerate_stable(doc.build_market())
@@ -110,8 +117,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_lattice(args) -> int:
     _, stable = _load_stable(args.market)
-    dot = to_dot(stable)
-    Path(args.dot).write_text(dot, encoding="utf-8")
+    _write(args.dot, to_dot(stable))
     print(f"wrote {args.dot} ({len(stable)} matchings, {len(hasse_edges(stable))} edges)")
     return EXIT_OK
 
@@ -162,7 +168,7 @@ def _cmd_join(args, take_join: bool) -> int:
     result = op(x, y, stable, side, method=args.method)
     print(_format_lottery(result, stable))
     if args.out:
-        Path(args.out).write_text(dump_lottery(result, doc), encoding="utf-8")
+        _write(args.out, dump_lottery(result, doc))
     return EXIT_OK
 
 

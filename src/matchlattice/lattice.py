@@ -25,38 +25,16 @@ greatest lower bound in the firms' common partial order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import reduce
 from operator import or_
 from typing import Iterable
 
 from .errors import AxiomError, CapacityError, ValidationError
 from .matchings import Matching, find_blocking
-from .prefs import Market, Side, mask_subset, profile_violations
+from .prefs import Cmp, Market, mask_subset, profile_violations
 
 #: Largest market (firm count times worker count) the enumerator accepts.
 ENUMERATION_GUARD = 25
-
-
-class Cmp(Enum):
-    """How two stable matchings relate in one side's common partial order."""
-
-    GREATER = "greater"
-    LESS = "less"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-    @property
-    def at_least(self) -> bool:
-        return self in (Cmp.GREATER, Cmp.EQUAL)
-
-    @property
-    def flipped(self) -> "Cmp":
-        if self is Cmp.GREATER:
-            return Cmp.LESS
-        if self is Cmp.LESS:
-            return Cmp.GREATER
-        return self
 
 
 def _compare_pointwise(prefs, masks1, masks2) -> Cmp:
@@ -91,12 +69,6 @@ def compare_firms(m1: Matching, m2: Matching, market: Market) -> Cmp:
 
 def compare_workers(m1: Matching, m2: Matching, market: Market) -> Cmp:
     return _compare_pointwise(market.worker_prefs, m1.worker_masks, m2.worker_masks)
-
-
-def compare_side(m1: Matching, m2: Matching, market: Market, side: Side) -> Cmp:
-    if side is Side.FIRMS:
-        return compare_firms(m1, m2, market)
-    return compare_workers(m1, m2, market)
 
 
 def _firm_pointing(matchings: Iterable[Matching], market: Market) -> Matching:
@@ -369,10 +341,13 @@ def enumerate_stable(market: Market) -> StableSet:
     need = [mask.bit_count() for mask in top.worker_masks]
     found = _search(market, rows_per_firm, need)
     found.sort(key=lambda m: m.firm_masks)
-    table = tuple(
-        tuple(compare_firms(a, b, market) for b in found) for a in found
-    )
-    return StableSet(market, tuple(found), table)
+    # One comparison per unordered pair; the mirror cell is its flip.
+    table = [[Cmp.EQUAL] * len(found) for _ in found]
+    for i, a in enumerate(found):
+        for j in range(i + 1, len(found)):
+            table[i][j] = compare_firms(a, found[j], market)
+            table[j][i] = table[i][j].flipped
+    return StableSet(market, tuple(found), tuple(map(tuple, table)))
 
 
 def rht_check(stable_set: StableSet) -> bool:
@@ -386,20 +361,19 @@ def rht_check(stable_set: StableSet) -> bool:
 
 def hasse_edges(stable_set: StableSet) -> tuple[tuple[int, int], ...]:
     """Covering pairs of the firms' order: the transitive reduction,
-    as (higher index, lower index) pairs."""
-    size = len(stable_set)
-    above = stable_set.firm_table
+    as (higher index, lower index) pairs in ascending order.
+
+    The covers of i are the maximal elements of its strict down-set: the j
+    below i that lie below no other k below i.
+    """
+    below = [
+        sum(1 << j for j, relation in enumerate(row) if relation is Cmp.GREATER)
+        for row in stable_set.firm_table
+    ]
     edges = []
-    for i in range(size):
-        for j in range(size):
-            if above[i][j] is not Cmp.GREATER:
-                continue
-            if any(
-                above[i][k] is Cmp.GREATER and above[k][j] is Cmp.GREATER
-                for k in range(size)
-            ):
-                continue
-            edges.append((i, j))
+    for i, down in enumerate(below):
+        covers = down & ~reduce(or_, (below[k] for k in mask_subset(down)), 0)
+        edges.extend((i, j) for j in sorted(mask_subset(covers)))
     return tuple(edges)
 
 

@@ -42,9 +42,9 @@ from itertools import accumulate, chain, repeat
 from typing import Iterable, Union
 
 from .errors import CapacityError, ValidationError
-from .lattice import Cmp, StableSet, compare_side
-from .matchings import Matching, RationalMatrix, ZERO, ONE
-from .prefs import AgentId, Market, SetComparison, Side, mask_subset
+from .lattice import StableSet, compare_firms
+from .matchings import Matching, RationalMatrix, ONE
+from .prefs import AgentId, Cmp, Market, Side, mask_subset
 
 #: :func:`lcm_refine` refuses to build more slices than this.
 LCM_SLICE_GUARD = 10**6
@@ -75,7 +75,6 @@ class Lottery:
     def __post_init__(self):
         if not self.terms:
             raise ValidationError("a lottery needs at least one term", code="empty-lottery")
-        total = ZERO
         shape = self.terms[0][1].shape
         for weight, matching in self.terms:
             if not isinstance(weight, Fraction):
@@ -84,9 +83,10 @@ class Lottery:
                 raise ValidationError(f"weight {weight} outside (0, 1]", code="bad-weight")
             if matching.shape != shape:
                 raise ValidationError("lottery mixes matchings of different markets", code="mismatched-market")
-            total += weight
-        if total != 1:
-            raise ValidationError(f"weights sum to {total}, not 1", code="weight-sum")
+        denominator, (counts,) = _unit_counts(self)
+        total = sum(counts)
+        if total != denominator:
+            raise ValidationError(f"weights sum to {Fraction(total, denominator)}, not 1", code="weight-sum")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[object, Matching]]) -> "Lottery":
@@ -135,10 +135,7 @@ class Lottery:
 def is_decreasing(lottery: Lottery, market: Market) -> bool:
     """True iff consecutive matchings strictly descend for the firms."""
     ms = lottery.matchings
-    return all(
-        compare_side(ms[k], ms[k + 1], market, Side.FIRMS) is Cmp.GREATER
-        for k in range(len(ms) - 1)
-    )
+    return all(compare_firms(a, b, market) is Cmp.GREATER for a, b in zip(ms, ms[1:]))
 
 
 def _unit_counts(*lotteries: Lottery) -> tuple[int, list[list[int]]]:
@@ -405,9 +402,6 @@ class Dominance(Enum):
         return self in (Dominance.STRONGLY_DOMINATES, Dominance.EQUAL)
 
 
-_AT_LEAST = (SetComparison.FIRST, SetComparison.EQUAL)
-
-
 def _favours(alignment: SplitAlignment, market: Market, who: Union[Side, AgentId], flipped: bool) -> bool:
     """True iff every aligned pair weakly favours its left matching (its
     right one when ``flipped``) for ``who``: one agent, or each agent on a side."""
@@ -415,7 +409,7 @@ def _favours(alignment: SplitAlignment, market: Market, who: Union[Side, AgentId
     prefs = [market.pref(agent) for agent in agents]
     pairs = zip(alignment.right, alignment.left) if flipped else zip(alignment.left, alignment.right)
     return all(
-        pref.compare_masks(a.assigned_mask(agent), b.assigned_mask(agent)) in _AT_LEAST
+        pref.compare_masks(a.assigned_mask(agent), b.assigned_mask(agent)).at_least
         for a, b in pairs
         for agent, pref in zip(agents, prefs)
     )

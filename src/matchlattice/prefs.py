@@ -59,13 +59,26 @@ class AgentId:
         return f"{prefix}{self.index + 1}"
 
 
-class SetComparison(Enum):
-    """Outcome of comparing two subsets under one agent's preference."""
+class Cmp(Enum):
+    """How one subset, or one matching, relates to another in an order:
+    one agent's preference, or one side's common partial order."""
 
-    FIRST = "first"
-    SECOND = "second"
+    GREATER = "greater"
+    LESS = "less"
     EQUAL = "equal"
     INCOMPARABLE = "incomparable"
+
+    @property
+    def at_least(self) -> bool:
+        return self in (Cmp.GREATER, Cmp.EQUAL)
+
+    @property
+    def flipped(self) -> "Cmp":
+        if self is Cmp.GREATER:
+            return Cmp.LESS
+        if self is Cmp.LESS:
+            return Cmp.GREATER
+        return self
 
 
 def subset_mask(subset: Iterable[int], size: int) -> int:
@@ -124,19 +137,19 @@ class Preference:
         """Best acceptable subset of ``offered``; empty if nothing qualifies."""
         return mask_subset(self.choice_mask(subset_mask(offered, self.n_opposite)))
 
-    def compare_masks(self, first: int, second: int) -> SetComparison:
+    def compare_masks(self, first: int, second: int) -> Cmp:
         """Compare two subsets: a set weakly beats another iff it is chosen
         from their union."""
         if first == second:
-            return SetComparison.EQUAL
+            return Cmp.EQUAL
         best = self.choice_mask(first | second)
         if best == first:
-            return SetComparison.FIRST
+            return Cmp.GREATER
         if best == second:
-            return SetComparison.SECOND
-        return SetComparison.INCOMPARABLE
+            return Cmp.LESS
+        return Cmp.INCOMPARABLE
 
-    def compare(self, first: Iterable[int], second: Iterable[int]) -> SetComparison:
+    def compare(self, first: Iterable[int], second: Iterable[int]) -> Cmp:
         n = self.n_opposite
         return self.compare_masks(subset_mask(first, n), subset_mask(second, n))
 

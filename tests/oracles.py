@@ -5,10 +5,12 @@ with no shared code paths into the package internals (which work on
 bitmasks): rank lists are scanned literally, stability enumerates every
 agent and every pair, and the stable set is recomputed either from all
 2^(F*W) edge subsets or from the product of every firm's individually
-rational rows.  The two preference axioms are searched over every pair of
-an offer and a sub-offer.  The decreasing decomposition follows the paper's
-literal rescaling recurrence on Fraction grids, and stochastic dominance is
-the literal sum of its inequalities.
+rational rows (a market of disjoint blocks block by block).  The firms'
+covering pairs are read off every triple of the order.  The two preference
+axioms are searched over every pair of an offer and a sub-offer.  The
+decreasing decomposition follows the paper's literal rescaling recurrence on
+Fraction grids, and stochastic dominance is the literal sum of its
+inequalities.
 """
 
 from __future__ import annotations
@@ -83,9 +85,9 @@ def prefers_oracle(pref, first: frozenset, second: frozenset) -> str:
         return "equal"
     best = choice_oracle(pref, first | second)
     if best == first:
-        return "first"
+        return "greater"
     if best == second:
-        return "second"
+        return "less"
     return "incomparable"
 
 
@@ -142,6 +144,25 @@ def enumerate_product_oracle(market: Market) -> list[Matching]:
     return sorted(found, key=lambda m: m.firm_masks)
 
 
+def block_product_oracle(blocks) -> list[Matching]:
+    """All stable matchings of the market made of the disjoint markets
+    ``blocks`` (nobody accepts a partner outside its own block), sorted by
+    firm-assignment encoding: each block is enumerated on its own by
+    :func:`enumerate_product_oracle`, and the whole market's stable set is
+    the product of theirs, since no pair across blocks can block."""
+    per_block, offset = [], 0
+    for block in blocks:
+        per_block.append(
+            [
+                [frozenset(j + offset for j in m.firm_set(i)) for i in range(block.num_firms)]
+                for m in enumerate_product_oracle(block)
+            ]
+        )
+        offset += block.num_workers
+    found = [Matching.from_firm_sets(offset, chain.from_iterable(parts)) for parts in product(*per_block)]
+    return sorted(found, key=lambda m: m.firm_masks)
+
+
 def firm_table_oracle(matchings, market: Market) -> tuple[tuple[Cmp, ...], ...]:
     """The firms' order on ``matchings`` as a table of :class:`Cmp`, read
     off the literal choice criterion in both directions."""
@@ -156,6 +177,20 @@ def firm_table_oracle(matchings, market: Market) -> tuple[tuple[Cmp, ...], ...]:
         return Cmp.INCOMPARABLE
 
     return tuple(tuple(relation(a, b) for b in matchings) for a in matchings)
+
+
+def hasse_oracle(table) -> tuple[tuple[int, int], ...]:
+    """Covering pairs of a table of :class:`Cmp`, in ascending order: every
+    (i, j) with i greater than j and no k with i greater than k greater than
+    j, found by scanning all triples."""
+    size = len(table)
+    return tuple(
+        (i, j)
+        for i in range(size)
+        for j in range(size)
+        if table[i][j] is Cmp.GREATER
+        and not any(table[i][k] is Cmp.GREATER and table[k][j] is Cmp.GREATER for k in range(size))
+    )
 
 
 def firm_at_least_oracle(m1: Matching, m2: Matching, market: Market) -> bool:
@@ -199,7 +234,7 @@ def dominance_sums_oracle(cx, cy, pref, assigned) -> bool:
     """
     def mass_at_least(lottery, target):
         return sum(
-            (w for w, m in lottery.terms if prefers_oracle(pref, assigned(m), target) in ("first", "equal")),
+            (w for w, m in lottery.terms if prefers_oracle(pref, assigned(m), target) in ("greater", "equal")),
             Fraction(0),
         )
 
@@ -228,7 +263,7 @@ def weak_dominance_oracle(cx, cy, pref, assigned) -> bool:
         while end + 1 < len(y_sets) and y_sets[end + 1] == target:
             end += 1
         lhs = sum(
-            (w for w, m in cx.terms if prefers_oracle(pref, assigned(m), target) in ("first", "equal")),
+            (w for w, m in cx.terms if prefers_oracle(pref, assigned(m), target) in ("greater", "equal")),
             Fraction(0),
         )
         if lhs < prefixes[end]:

@@ -131,6 +131,11 @@ class TestLattice:
         assert len(edges) == 32
         assert "16 matchings, 32 edges" in out
 
+    def test_unwritable_dot_path_exits_two(self, capsys, tmp_path):
+        code, _, err = run(capsys, "lattice", MARKET, "--dot", str(tmp_path))
+        assert code == 2
+        assert err.startswith(f"error[io]: cannot write {tmp_path}: ")
+
 
 class TestDecompose:
     def test_golden_output(self, capsys):
@@ -197,6 +202,13 @@ class TestJoinMeet:
         doc = parse_market(Path(MARKET).read_bytes())
         written = parse_lottery(out_path.read_text(), doc)
         assert [str(w) for w, _ in written.terms] == ["2/3", "1/12", "1/4"]
+
+    def test_out_file_in_a_missing_directory_exits_two(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "join.json"
+        code, _, err = run(capsys, "join", MARKET, X, Y, "--side", "F", "--out", str(out_path))
+        assert code == 2
+        assert err.startswith(f"error[io]: cannot write {out_path}: ")
+        assert not out_path.parent.exists()
 
     def test_worker_side_duality(self, capsys):
         _, join_f_out, _ = run(capsys, "join", MARKET, X, Y, "--side", "F")

@@ -17,6 +17,7 @@ from matchlattice import (
     RankedPreference,
     ResponsivePreference,
     Side,
+    StableSet,
     ValidationError,
     compare_firms,
     compare_workers,
@@ -34,11 +35,13 @@ from matchlattice import lattice
 from matchlattice.lattice import _bracketed_rows, _deferred_acceptance
 from conftest import block_diagonal_market, one_firm_market
 from oracles import (
+    block_product_oracle,
     choice_oracle,
     enumerate_oracle,
     enumerate_product_oracle,
     firm_at_least_oracle,
     firm_table_oracle,
+    hasse_oracle,
     powerset,
     stable_oracle,
     worker_at_least_oracle,
@@ -156,14 +159,25 @@ class TestBracketedEnumeration:
             assert list(case.stable) == enumerate_product_oracle(case.market), case.seed
 
     @pytest.mark.parametrize(
-        "build, size",
-        [(None, 16), (lambda: responsive_market(0, 4, 4), 1), (block_diagonal_market, 6)],
-        ids=["golden", "full-ir-4x4", "block-3+2"],
+        "build, oracle, size",
+        [
+            (None, enumerate_product_oracle, 16),
+            (lambda: responsive_market(0, 4, 4), enumerate_product_oracle, 1),
+            (block_diagonal_market, enumerate_product_oracle, 6),
+            # 5^12 products of rows; the oracle enumerates each block alone.
+            (
+                lambda: block_diagonal_market((4, 4, 4)),
+                lambda _: block_product_oracle([block_diagonal_market((4,))] * 3),
+                64,
+            ),
+        ],
+        ids=["golden", "full-ir-4x4", "block-3+2", "latin-4^3"],
     )
-    def test_order_and_table_match_product_oracle(self, example_market, build, size):
+    def test_order_and_table_match_product_oracle(self, example_market, monkeypatch, build, oracle, size):
+        monkeypatch.setattr(lattice, "ENUMERATION_GUARD", 144)
         market = example_market if build is None else build()
         stable = enumerate_stable(market)
-        expected = enumerate_product_oracle(market)
+        expected = oracle(market)
         assert len(expected) == size
         assert list(stable.matchings) == expected
         assert stable.firm_table == firm_table_oracle(expected, market)
@@ -243,6 +257,19 @@ class TestSearch:
         assert len(set(stable)) == len(stable) == 4 ** 3
         for m in stable:
             assert stable_oracle(m, market)
+
+    def test_four_latin_blocks_order_their_members_quickly(self, monkeypatch):
+        monkeypatch.setattr(lattice, "ENUMERATION_GUARD", 256)
+        market = block_diagonal_market((4, 4, 4, 4))
+        start = time.perf_counter()
+        stable = enumerate_stable(market)
+        edges = hasse_edges(stable)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"enumeration and covers took {elapsed:.2f} s"
+        # A product of four 4-chains: each member steps down one of the four
+        # blocks' three covers while the other three blocks stay put.
+        assert len(set(stable)) == len(stable) == 4 ** 4
+        assert len(edges) == 4 * 3 * 4 ** 3
 
     def test_responsive_agents_keep_the_axiom_size_guard(self):
         # 17 cells pass the enumeration guard; the firm's 17 workers exceed
@@ -469,20 +496,39 @@ class TestRuralHospital:
 
 
 class TestHasseAndDot:
-    def test_edges_are_the_transitive_reduction(self, example_stable):
-        size = len(example_stable)
-        greater = {
-            (i, j)
-            for i in range(size)
-            for j in range(size)
-            if example_stable.cmp_f(i, j) is Cmp.GREATER
-        }
-        expected = {
-            (i, j)
-            for i, j in greater
-            if not any((i, k) in greater and (k, j) in greater for k in range(size))
-        }
-        assert set(hasse_edges(example_stable)) == expected
+    @pytest.mark.parametrize(
+        "build, count",
+        [
+            (None, 32),
+            (block_diagonal_market, 7),
+            (lambda: block_diagonal_market((4, 4, 4)), 3 * 3 * 4 ** 2),
+            ("corpus", None),
+        ],
+        ids=["golden", "block-3+2", "latin-4^3", "corpus"],
+    )
+    def test_edges_are_the_transitive_reduction(self, request, monkeypatch, build, count):
+        monkeypatch.setattr(lattice, "ENUMERATION_GUARD", 144)
+        if build is None:
+            stables = [request.getfixturevalue("example_stable")]
+        elif build == "corpus":
+            stables = [case.stable for case in request.getfixturevalue("corpus")]
+        else:
+            stables = [enumerate_stable(build())]
+        for stable in stables:
+            assert hasse_edges(stable) == hasse_oracle(stable.firm_table)
+        if count is not None:
+            assert len(hasse_edges(stables[0])) == count
+
+    def test_edges_follow_the_all_triples_rule_on_any_table(self, example_stable):
+        # Down-set covers match the triple scan on relations that are not
+        # orders at all: a random table over the golden members.
+        rng = random.Random(5)
+        cells = (Cmp.GREATER, Cmp.LESS, Cmp.INCOMPARABLE)
+        for _ in range(20):
+            size = rng.randint(1, len(example_stable))
+            table = tuple(tuple(rng.choice(cells) for _ in range(size)) for _ in range(size))
+            stable = StableSet(example_stable.market, example_stable.matchings[:size], table)
+            assert hasse_edges(stable) == hasse_oracle(table)
 
     def test_dot_lists_every_matching_and_edge(self, example_stable):
         dot = to_dot(example_stable)

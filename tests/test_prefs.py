@@ -8,9 +8,9 @@ import pytest
 from matchlattice import (
     AgentId,
     CapacityError,
+    Cmp,
     RankedPreference,
     ResponsivePreference,
-    SetComparison,
     Side,
     ValidationError,
     lad_violation,
@@ -117,18 +117,18 @@ class TestResponsive:
 class TestCompare:
     def test_pair_against_worse_pair(self, example_market):
         pref = example_market.firm_prefs[0]
-        assert pref.compare({0, 1}, {2, 3}) is SetComparison.FIRST
-        assert pref.compare({2, 3}, {0, 1}) is SetComparison.SECOND
+        assert pref.compare({0, 1}, {2, 3}) is Cmp.GREATER
+        assert pref.compare({2, 3}, {0, 1}) is Cmp.LESS
 
     def test_identical_sets_are_equal(self, example_market):
         pref = example_market.firm_prefs[0]
         for subset in all_subsets(4):
-            assert pref.compare(subset, subset) is SetComparison.EQUAL
+            assert pref.compare(subset, subset) is Cmp.EQUAL
 
     def test_middle_pairs_are_incomparable(self, example_market):
         # The union {w1,w2,w3,w4} chooses {w1,w2}, which is neither argument.
         pref = example_market.firm_prefs[0]
-        assert pref.compare({0, 2}, {1, 3}) is SetComparison.INCOMPARABLE
+        assert pref.compare({0, 2}, {1, 3}) is Cmp.INCOMPARABLE
         assert prefers_oracle(pref, frozenset({0, 2}), frozenset({1, 3})) == "incomparable"
 
     def test_matches_oracle_on_all_pairs(self, example_market):
@@ -142,7 +142,7 @@ class TestCompare:
         for pref in example_market.firm_prefs:
             subsets = all_subsets(4)
             at_least = {
-                (a, b): pref.compare(a, b) in (SetComparison.FIRST, SetComparison.EQUAL)
+                (a, b): pref.compare(a, b) in (Cmp.GREATER, Cmp.EQUAL)
                 for a in subsets
                 for b in subsets
             }
