@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .documents import MarketDocument, dump_lottery, parse_lottery, parse_market
 from .errors import AxiomError, CapacityError, ValidationError
-from .lattice import StableSet, enumerate_stable, hasse_edges, to_dot
+from .lattice import StableSet, enumerate_stable, to_dot
 from .lotteries import (
     Dominance,
     Lottery,
@@ -117,8 +117,10 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_lattice(args) -> int:
     _, stable = _load_stable(args.market)
-    _write(args.dot, to_dot(stable))
-    print(f"wrote {args.dot} ({len(stable)} matchings, {len(hasse_edges(stable))} edges)")
+    dot = to_dot(stable)
+    _write(args.dot, dot)
+    # to_dot writes one "->" line per cover.
+    print(f"wrote {args.dot} ({len(stable)} matchings, {dot.count(' -> ')} edges)")
     return EXIT_OK
 
 

@@ -129,17 +129,19 @@ def _name_list(raw, path: str) -> tuple[str, ...]:
     return tuple(raw)
 
 
-def _path_to(target, value, path: str = "$") -> Optional[str]:
-    """JSON path of the object ``target`` inside ``value``."""
-    if value is target:
-        return path
-    if isinstance(value, dict):
-        children = ((f"{path}.{key}", item) for key, item in value.items())
-    elif isinstance(value, list):
-        children = ((f"{path}[{k}]", item) for k, item in enumerate(value))
-    else:
-        return None
-    return next(filter(None, (_path_to(target, item, sub) for sub, item in children)), None)
+def _path_to(target, value) -> Optional[str]:
+    """JSON path of the object ``target`` inside ``value``, found without
+    recursion so that any nesting depth the parser accepted is searched."""
+    stack = [("$", value)]
+    while stack:
+        path, value = stack.pop()
+        if value is target:
+            return path
+        if isinstance(value, dict):
+            stack.extend((f"{path}.{key}", item) for key, item in value.items())
+        elif isinstance(value, list):
+            stack.extend((f"{path}[{k}]", item) for k, item in enumerate(value))
+    return None
 
 
 def _load_json(data: Union[str, bytes]):
@@ -155,8 +157,12 @@ def _load_json(data: Union[str, bytes]):
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
         raw = json.loads(text, object_pairs_hook=unique_keys)
+    except RecursionError:
+        raise ValidationError("malformed JSON: nesting too deep", code="malformed-json") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"malformed JSON: {exc}", code="malformed-json") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ValidationError("malformed JSON: number too long", code="malformed-json") from None
     if repeats:
         # The hook cannot see where an object sits; find it in the result.
         obj, key = repeats[0]
@@ -255,7 +261,10 @@ def _parse_weight(raw, path: str) -> Fraction:
     match = _WEIGHT.fullmatch(raw) if isinstance(raw, str) else None
     if match is None:
         raise _fail(path, f"{raw!r} is not a fraction string n or n/d", "bad-weight")
-    weight = Fraction(int(match[1]), int(match[2] or 1))
+    try:
+        weight = Fraction(int(match[1]), int(match[2] or 1))
+    except ValueError:  # past the interpreter's integer digit limit
+        raise _fail(path, "weight has too many digits", "bad-weight") from None
     if weight <= 0 or weight > 1:
         raise _fail(path, f"weight {raw} outside (0, 1]", "bad-weight")
     return weight
@@ -266,13 +275,10 @@ def parse_lottery(data: Union[str, bytes], doc: MarketDocument) -> Lottery:
     raw = _load_json(data)
     _known_keys(raw, {"terms"}, "$")
     raw_terms = _need(raw, "terms", list, "$")
-    if not raw_terms:
-        raise _fail("$.terms", "a lottery needs at least one term", "empty-lottery")
     firm_idx, worker_idx = doc.firm_index, doc.worker_index
     nf, nw = len(doc.firm_names), len(doc.worker_names)
 
     terms = []
-    total = Fraction(0)
     for k, raw_term in enumerate(raw_terms):
         path = f"$.terms[{k}]"
         _known_keys(raw_term, {"weight", "matching"}, path)
@@ -293,10 +299,10 @@ def parse_lottery(data: Union[str, bytes], doc: MarketDocument) -> Lottery:
             if len(set(assigned)) < len(assigned):
                 raise _fail(f"{path}.matching.{firm}", "repeated worker", "schema")
         terms.append((weight, Matching.from_edges(nf, nw, edges)))
-        total += weight
-    if total != 1:
-        raise _fail("$.terms", f"weights sum to {total}, not 1", "weight-sum")
-    return Lottery(tuple(terms))
+    try:
+        return Lottery(tuple(terms))
+    except ValidationError as exc:  # the lottery's own rules: empty, or weights not summing to one
+        raise _fail("$.terms", str(exc), exc.code) from None
 
 
 def dump_lottery(lottery: Lottery, doc: MarketDocument) -> str:

@@ -21,12 +21,12 @@ On canonical forms the package provides
 * :func:`join_random` / :func:`meet_random` -- least upper bound and
   greatest lower bound for a side, computed termwise over a refinement.
 
-Mass is counted in whole units of 1/D, D the lcm of the weight denominators:
-decomposition peels integer cell counts, both refinements are a
-:class:`SplitAlignment` of integer slice counts, and the rural-hospital
-check compares cross-multiplied cell counts.  Dominance adds no weights at
-all.  A :class:`~fractions.Fraction` is made per output weight or trace
-value read; no tolerance is used anywhere.
+A :class:`Lottery` stores its mass as integer counts of 1/D, D the lcm of its
+weight denominators; its Fraction weights are views.  Decomposition peels
+integer cell counts, both refinements are a :class:`SplitAlignment` of integer
+slice counts, and the rural-hospital check compares cross-multiplied cell
+counts.  Dominance adds no weights at all.  A :class:`~fractions.Fraction` is
+made per weight or trace value read; no tolerance is used anywhere.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Iterable, Union
 
 from .errors import CapacityError, ValidationError
 from .lattice import StableSet, compare_firms
-from .matchings import Matching, RationalMatrix, ONE
+from .matchings import Matching, RationalMatrix
 from .prefs import AgentId, Cmp, Market, Side, mask_subset
 
 #: :func:`lcm_refine` refuses to build more slices than this.
@@ -59,34 +59,55 @@ def _exact_weight(raw: object) -> Fraction:
     match = _WEIGHT.fullmatch(raw) if isinstance(raw, str) else None
     if match is None:
         raise ValidationError(f"weight {raw!r} is not a Fraction, an int or n/d text", code="bad-weight")
-    return Fraction(int(match[1]), int(match[2] or 1))
+    try:
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except ValueError:  # past the interpreter's integer digit limit
+        raise ValidationError("weight has too many digits", code="bad-weight") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Lottery:
     """A finite lottery over stable matchings.
 
-    Weights are positive fractions summing to exactly one.  Terms may repeat
-    a matching; the canonical decreasing form never does.
+    Mass is stored as positive ``counts`` of 1/``denominator``, in lowest terms
+    and summing to it; ``terms`` and ``weights`` are Fraction views.  Only
+    ``Lottery(terms)`` checks: weights positive, summing to exactly one.  Terms
+    may repeat a matching; the canonical decreasing form never does.
     """
 
-    terms: tuple[tuple[Fraction, Matching], ...]
+    denominator: int
+    counts: tuple[int, ...]
+    matchings: tuple[Matching, ...]
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: tuple[tuple[Fraction, Matching], ...]):
+        if not terms:
             raise ValidationError("a lottery needs at least one term", code="empty-lottery")
-        shape = self.terms[0][1].shape
-        for weight, matching in self.terms:
+        shape = terms[0][1].shape
+        for weight, matching in terms:
             if not isinstance(weight, Fraction):
                 raise ValidationError(f"weight {weight!r} is not an exact fraction", code="bad-weight")
             if weight <= 0 or weight > 1:
                 raise ValidationError(f"weight {weight} outside (0, 1]", code="bad-weight")
             if matching.shape != shape:
                 raise ValidationError("lottery mixes matchings of different markets", code="mismatched-market")
-        denominator, (counts,) = _unit_counts(self)
-        total = sum(counts)
-        if total != denominator:
-            raise ValidationError(f"weights sum to {Fraction(total, denominator)}, not 1", code="weight-sum")
+        # D is the lcm of reduced denominators, so the counts are already in lowest terms.
+        denominator = math.lcm(*(w.denominator for w, _ in terms))
+        counts = tuple(w.numerator * (denominator // w.denominator) for w, _ in terms)
+        if sum(counts) != denominator:
+            total = Fraction(sum(counts), denominator)
+            raise ValidationError(f"weights sum to {total}, not 1", code="weight-sum")
+        self.__dict__.update(denominator=denominator, counts=counts, matchings=tuple(m for _, m in terms))
+
+    @classmethod
+    def _counted(cls, denominator: int, runs: Iterable[tuple[int, Matching]]) -> "Lottery":
+        """A lottery built from positive counts summing to ``denominator``: reduced, not checked."""
+        counts, matchings = zip(*runs)
+        g = math.gcd(denominator, *counts)
+        lottery = object.__new__(cls)
+        lottery.__dict__.update(
+            denominator=denominator // g, counts=tuple(c // g for c in counts), matchings=matchings
+        )
+        return lottery
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[object, Matching]]) -> "Lottery":
@@ -97,31 +118,26 @@ class Lottery:
 
     @classmethod
     def degenerate(cls, matching: Matching) -> "Lottery":
-        return cls(((ONE, matching),))
+        return cls._counted(1, ((1, matching),))
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
-        return tuple(w for w, _ in self.terms)
+        return tuple(Fraction(c, self.denominator) for c in self.counts)
 
     @property
-    def matchings(self) -> tuple[Matching, ...]:
-        return tuple(m for _, m in self.terms)
+    def terms(self) -> tuple[tuple[Fraction, Matching], ...]:
+        return tuple(zip(self.weights, self.matchings))
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.terms[0][1].shape
+        return self.matchings[0].shape
 
     def merged(self) -> "Lottery":
         """Aggregate repeated matchings into single terms."""
-        order = []
-        weight_of: dict[Matching, Fraction] = {}
-        for w, m in self.terms:
-            if m in weight_of:
-                weight_of[m] += w
-            else:
-                weight_of[m] = w
-                order.append(m)
-        return Lottery(tuple((weight_of[m], m) for m in order))
+        count_of: dict[Matching, int] = {}
+        for c, m in zip(self.counts, self.matchings):
+            count_of[m] = count_of.get(m, 0) + c
+        return Lottery._counted(self.denominator, ((c, m) for m, c in count_of.items()))
 
     def expectation(self) -> RationalMatrix:
         """The weighted sum of the incidence matrices."""
@@ -129,7 +145,7 @@ class Lottery:
         return RationalMatrix(tuple(tuple(Fraction(c, denominator) for c in row) for row in cells))
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.matchings)
 
 
 def is_decreasing(lottery: Lottery, market: Market) -> bool:
@@ -138,22 +154,15 @@ def is_decreasing(lottery: Lottery, market: Market) -> bool:
     return all(compare_firms(a, b, market) is Cmp.GREATER for a, b in zip(ms, ms[1:]))
 
 
-def _unit_counts(*lotteries: Lottery) -> tuple[int, list[list[int]]]:
-    """D, the lcm of all weight denominators, and each lottery's weights in units of 1/D."""
-    denominator = math.lcm(*(w.denominator for x in lotteries for w in x.weights))
-    return denominator, [[w.numerator * denominator // w.denominator for w in x.weights] for x in lotteries]
-
-
 def _cell_counts(lottery: Lottery) -> tuple[int, list[list[int]]]:
-    """D and the expectation matrix in whole units of 1/D (see :func:`_unit_counts`)."""
-    denominator, (counts,) = _unit_counts(lottery)
+    """The lottery's denominator D and its expectation matrix in whole units of 1/D."""
     nf, nw = lottery.shape
     cells = [[0] * nw for _ in range(nf)]
-    for count, matching in zip(counts, lottery.matchings):
+    for count, matching in zip(lottery.counts, lottery.matchings):
         for i, mask in enumerate(matching.firm_masks):
             for j in mask_subset(mask):
                 cells[i][j] += count
-    return denominator, cells
+    return lottery.denominator, cells
 
 
 def _require_decreasing_pair(x: Lottery, y: Lottery, market: Market) -> None:
@@ -242,7 +251,7 @@ def decompose_run(lottery: Lottery, stable_set: StableSet) -> DecompositionRun:
     denominator, counts = _cell_counts(lottery)
     left = denominator
     steps: list[DecompositionStep] = []
-    terms: list[tuple[Fraction, Matching]] = []
+    terms: list[tuple[int, Matching]] = []
 
     while pool:
         members = tuple(stable_set[k] for k in pool)
@@ -271,7 +280,7 @@ def decompose_run(lottery: Lottery, stable_set: StableSet) -> DecompositionRun:
                 removed=removed,
             )
         )
-        terms.append((Fraction(taken, denominator), best))
+        terms.append((taken, best))
 
         for i, j in matched_cells:
             counts[i][j] -= taken
@@ -279,7 +288,7 @@ def decompose_run(lottery: Lottery, stable_set: StableSet) -> DecompositionRun:
         dropped = set(removed)
         pool = [k for k, m in zip(pool, members) if m not in dropped]
 
-    return DecompositionRun(tuple(steps), Lottery(tuple(terms)))
+    return DecompositionRun(tuple(steps), Lottery._counted(denominator, terms))
 
 
 def decompose(lottery: Lottery, stable_set: StableSet) -> Lottery:
@@ -328,14 +337,10 @@ class SplitAlignment:
         return len(self.counts)
 
     def left_lottery(self) -> Lottery:
-        return self._regrouped(self.left)
+        return Lottery._counted(self.denominator, _merge_runs(self.counts, self.left))
 
     def right_lottery(self) -> Lottery:
-        return self._regrouped(self.right)
-
-    def _regrouped(self, matchings: tuple[Matching, ...]) -> Lottery:
-        runs = _merge_runs(self.counts, matchings)
-        return Lottery(tuple((Fraction(c, self.denominator), m) for c, m in runs))
+        return Lottery._counted(self.denominator, _merge_runs(self.counts, self.right))
 
 
 def split(x: Lottery, y: Lottery, market: Market) -> SplitAlignment:
@@ -350,8 +355,8 @@ def split(x: Lottery, y: Lottery, market: Market) -> SplitAlignment:
     """
     _require_decreasing_pair(x, y, market)
 
-    denominator, per_term = _unit_counts(x, y)
-    cum_x, cum_y = (list(accumulate(terms)) for terms in per_term)
+    denominator = math.lcm(x.denominator, y.denominator)
+    cum_x, cum_y = (list(accumulate(c * (denominator // z.denominator) for c in z.counts)) for z in (x, y))
 
     counts: list[int] = []
     left: list[Matching] = []
@@ -473,7 +478,7 @@ def _combine_termwise(
         # Termwise combination of two decreasing chains is monotone, so this
         # only happens when the stable set or the market is inconsistent.
         raise ValidationError("termwise combination is not in decreasing form", code="not-canonical")
-    return Lottery(tuple((Fraction(c, alignment.denominator), stable_set[k]) for c, k in runs))
+    return Lottery._counted(alignment.denominator, ((c, stable_set[k]) for c, k in runs))
 
 
 def _refined(x: Lottery, y: Lottery, stable_set: StableSet, method: str) -> SplitAlignment:

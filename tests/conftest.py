@@ -43,6 +43,24 @@ INVALID_PREFERENCES = {
     ),
 }
 
+#: Market documents that pass the grammar but exceed a limit of the
+#: interpreter, with the refusal code each must get: nesting past the
+#: recursion limit, an integer past the digit limit of int(), and a repeated
+#: key nested deeper than a recursive search for its path can go.
+OVERSIZED_MARKETS = {
+    "deep-nesting": ("[" * 100_000, "malformed-json"),
+    "long-integer": (
+        '{"firms": ["f1"], "workers": ["w1"], "preferences": {"f1": {"ranked": [["w1"]]}, '
+        '"w1": {"responsive": {"quota": ' + "1" * 5000 + ', "priority": ["f1"]}}}}',
+        "malformed-json",
+    ),
+    "deep-duplicate-key": ('{"a": ' * 500 + '{"k": 1, "k": 2}' + "}" * 500, "duplicate-key"),
+}
+#: Where the duplicate key of OVERSIZED_MARKETS["deep-duplicate-key"] sits.
+DEEP_DUPLICATE_PATH = "$" + ".a" * 500
+#: A weight past the digit limit of int(); above 1 where there is no limit.
+LONG_WEIGHT = "1" * 5000
+
 # The golden market: four firms and four workers, each ranking four pairs and
 # then the four singletons, in rotated orders.
 FIRM_RANKINGS = (

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from matchlattice import AgentId, ResponsivePreference, Side, parse_lottery, parse_market
+from matchlattice import cli, lattice
 from matchlattice.cli import main
-from conftest import DATA_DIR, INVALID_PREFERENCES
+from conftest import DATA_DIR, DEEP_DUPLICATE_PATH, INVALID_PREFERENCES, LONG_WEIGHT, OVERSIZED_MARKETS
 from oracles import lad_oracle, responsive_to_ranked, substitutability_oracle
 
 MARKET = str(DATA_DIR / "example_market.json")
@@ -131,6 +132,20 @@ class TestLattice:
         assert len(edges) == 32
         assert "16 matchings, 32 edges" in out
 
+    def test_covers_are_computed_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        covers = lattice.hasse_edges
+
+        def counted(stable):
+            calls.append(len(stable))
+            return covers(stable)
+
+        monkeypatch.setattr(lattice, "hasse_edges", counted)
+        monkeypatch.setattr(cli, "hasse_edges", counted, raising=False)
+        code, out, _ = run(capsys, "lattice", MARKET, "--dot", str(tmp_path / "order.dot"))
+        assert code == 0 and "16 matchings, 32 edges" in out
+        assert calls == [16]
+
     def test_unwritable_dot_path_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "lattice", MARKET, "--dot", str(tmp_path))
         assert code == 2
@@ -237,6 +252,7 @@ class TestRht:
 MALFORMED_LOTTERIES = {
     "decimal-weight": '{"terms": [{"weight": "0.5", "matching": {}}, {"weight": "1/2", "matching": {}}]}',
     "spaced-exponent-weight": '{"terms": [{"weight": " 5e-1 ", "matching": {}}, {"weight": "1/2", "matching": {}}]}',
+    "long-weight": '{"terms": [{"weight": "' + LONG_WEIGHT + '", "matching": {}}]}',
     "repeated-worker": '{"terms": [{"weight": "1", "matching": {"f1": ["w1", "w1"]}}]}',
     "duplicate-key": '{"terms": [{"weight": "1", "matching": {"f1": ["w1"], "f1": ["w2"]}}]}',
     "unknown-key": '{"terms": [{"weight": "1", "wieght": "1", "matching": {}}]}',
@@ -284,6 +300,17 @@ class TestErrors:
         assert code == 2
         assert "error[malformed-json]" in err
 
+    @pytest.mark.parametrize("case", sorted(OVERSIZED_MARKETS))
+    def test_market_past_an_interpreter_limit_exits_two(self, capsys, tmp_path, case):
+        text, expected = OVERSIZED_MARKETS[case]
+        path = tmp_path / "market.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "enumerate", str(path))
+        assert code == 2
+        assert err.startswith(f"error[{expected}]: ")
+        if case == "deep-duplicate-key":
+            assert err.startswith(f"error[duplicate-key]: {DEEP_DUPLICATE_PATH}: ")
+
     def test_weight_sum_error(self, capsys, tmp_path):
         path = tmp_path / "lot.json"
         path.write_text(
@@ -299,6 +326,7 @@ class TestErrors:
         code, _, err = run(capsys, "decompose", MARKET, str(path))
         assert code == 2
         assert "error[weight-sum]" in err
+        assert err == "error[weight-sum]: $.terms: weights sum to 5/6, not 1\n"
 
     def test_capacity_guard_exits_three(self, capsys, tmp_path):
         firms = [f"f{i}" for i in range(1, 7)]

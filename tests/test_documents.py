@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from matchlattice import (
+    Lottery,
     Preference,
     RankedPreference,
     ResponsivePreference,
@@ -21,7 +22,7 @@ from matchlattice import (
     profile_violations,
     substitutability_violation,
 )
-from conftest import DATA_DIR, INVALID_PREFERENCES
+from conftest import DATA_DIR, DEEP_DUPLICATE_PATH, INVALID_PREFERENCES, LONG_WEIGHT, OVERSIZED_MARKETS
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +188,14 @@ class TestParseMarket:
         assert str(error).startswith("$.preferences:")
         assert "'f1'" in str(error)
 
+    @pytest.mark.parametrize("case", sorted(OVERSIZED_MARKETS))
+    def test_input_past_an_interpreter_limit_is_refused(self, case):
+        text, code = OVERSIZED_MARKETS[case]
+        error = error_of(parse_market, text)
+        assert error.code == code
+        if case == "deep-duplicate-key":
+            assert str(error) == f"{DEEP_DUPLICATE_PATH}: duplicate key 'k'"
+
 
 class TestParseLottery:
     def test_reference_lottery_expectation(self, example_doc):
@@ -206,6 +215,8 @@ class TestParseLottery:
             ]
         }
         assert error_code(parse_lottery, json.dumps(doc), example_doc) == "weight-sum"
+        error = error_of(parse_lottery, json.dumps(doc), example_doc)
+        assert str(error) == "$.terms: weights sum to 5/6, not 1"
 
     def test_non_fraction_weight(self, example_doc):
         doc = {"terms": [{"weight": 0.5, "matching": {}}, {"weight": "1/2", "matching": {}}]}
@@ -213,7 +224,10 @@ class TestParseLottery:
         doc = {"terms": [{"weight": "half", "matching": {}}]}
         assert error_code(parse_lottery, json.dumps(doc), example_doc) == "bad-weight"
 
-    @pytest.mark.parametrize("weight", ["0.5", " 5e-1 ", "1/2 ", "+1/2", "-1/2", "1/0", "1_0/20", ""])
+    @pytest.mark.parametrize(
+        "weight",
+        ["0.5", " 5e-1 ", "1/2 ", "+1/2", "-1/2", "1/0", "1_0/20", "", pytest.param(LONG_WEIGHT, id="5000-digits")],
+    )
     def test_weight_must_read_n_or_n_over_d(self, example_doc, weight):
         doc = {"terms": [{"weight": weight, "matching": {}}, {"weight": "1/2", "matching": {}}]}
         error = error_of(parse_lottery, json.dumps(doc), example_doc)
@@ -260,6 +274,22 @@ class TestParseLottery:
 
     def test_empty_terms(self, example_doc):
         assert error_code(parse_lottery, json.dumps({"terms": []}), example_doc) == "empty-lottery"
+        assert str(error_of(parse_lottery, json.dumps({"terms": []}), example_doc)) == (
+            "$.terms: a lottery needs at least one term"
+        )
+
+    def test_each_parsed_lottery_is_checked_once(self, monkeypatch, example_doc):
+        calls = []
+        check = Lottery.__init__
+
+        def counted(lottery, terms):
+            calls.append(len(terms))
+            check(lottery, terms)
+
+        monkeypatch.setattr(Lottery, "__init__", counted)
+        for name in ("example_x_raw.json", "example_x.json", "example_y.json"):
+            parse_lottery((DATA_DIR / name).read_bytes(), example_doc)
+        assert calls == [2, 3, 3]
 
     def test_round_trip(self, example_doc):
         text = (DATA_DIR / "example_y.json").read_text()

@@ -34,7 +34,7 @@ from matchlattice import (
 )
 from matchlattice import lattice
 from matchlattice.lotteries import LCM_SLICE_GUARD, _combine_termwise
-from conftest import alternative_representations, block_diagonal_market, random_lottery
+from conftest import LONG_WEIGHT, alternative_representations, block_diagonal_market, random_lottery
 from oracles import decompose_oracle, dominance_sums_oracle, expectation_oracle, weak_dominance_oracle
 
 
@@ -97,6 +97,7 @@ class TestLotteryType:
             (("+1", nus[0]),),
             (("1e0", nus[0]),),
             ((None, nus[0]),),
+            ((LONG_WEIGHT, nus[0]),),
         ):
             with pytest.raises(ValidationError) as info:
                 lottery(*pairs)
@@ -106,6 +107,37 @@ class TestLotteryType:
         raw = lottery(("1/4", nus[0]), ("1/4", nus[1]), ("1/2", nus[0]))
         merged = raw.merged()
         assert merged == lottery(("3/4", nus[0]), ("1/4", nus[1]))
+
+    def test_equality_ignores_how_a_lottery_was_built(self, nus):
+        merged = lottery(("1/4", nus[0]), ("1/4", nus[0]), ("1/2", nus[1])).merged()
+        halves = lottery(("1/2", nus[0]), ("1/2", nus[1]))
+        assert merged == halves and hash(merged) == hash(halves)
+        assert (merged.denominator, merged.counts) == (2, (1, 1))
+
+    def test_library_built_lotteries_are_not_rechecked(
+        self, monkeypatch, raw_x, canonical_x, canonical_y, example_stable, nus
+    ):
+        calls = []
+        check = Lottery.__init__
+
+        def counted(lottery, terms):
+            calls.append(len(terms))
+            check(lottery, terms)
+
+        monkeypatch.setattr(Lottery, "__init__", counted)
+        decompose_run(raw_x, example_stable)
+        decompose(raw_x, example_stable)
+        alignment = split(canonical_x, canonical_y, example_stable.market)
+        alignment.left_lottery(), alignment.right_lottery()
+        for side in Side:
+            for method in ("split", "lcm"):
+                join_random(raw_x, canonical_y, example_stable, side, method=method)
+                meet_random(raw_x, canonical_y, example_stable, side, method=method)
+        raw_x.merged(), Lottery.degenerate(nus[0])
+        assert calls == []
+        lottery(("1/4", nus[0]), ("3/4", nus[1]))
+        lottery(("1", nus[2]))
+        assert calls == [2, 1]
 
     def test_expectation_of_reference_lottery(self, raw_x):
         assert raw_x.expectation().rows == X1_MATRIX
