@@ -28,6 +28,7 @@ from .lattice import StableSet, enumerate_stable, to_dot
 from .lotteries import (
     Dominance,
     Lottery,
+    _printed,
     decompose,
     dominates,
     join_random,
@@ -77,7 +78,7 @@ def _format_subset(indices, names) -> str:
 
 
 def _format_lottery(lottery: Lottery, stable: StableSet) -> str:
-    return " + ".join(f"{w} {stable.label(stable.index(m))}" for w, m in lottery.terms)
+    return " + ".join(f"{_printed(w)} {stable.label(stable.index(m))}" for w, m in lottery.terms)
 
 
 def _cmd_check(args) -> int:
@@ -141,7 +142,7 @@ def _cmd_split(args) -> int:
     alignment = split(x, y, stable.market)
     def labels(matchings):
         return " ".join(stable.label(stable.index(m)) for m in matchings)
-    print("gamma:", " ".join(str(g) for g in alignment.gamma))
+    print("gamma:", " ".join(map(_printed, alignment.gamma)))
     print("x:    ", labels(alignment.left))
     print("y:    ", labels(alignment.right))
     return EXIT_OK
@@ -149,9 +150,9 @@ def _cmd_split(args) -> int:
 
 def _cmd_dominates(args) -> int:
     _, stable, x, y = _load_pair(args)
-    side = Side.FIRMS if args.side == "F" else Side.WORKERS
+    side = Side(args.side)
     outcome = dominates(x, y, stable, side)
-    side_name = "firms" if side is Side.FIRMS else "workers"
+    side_name = side.name.lower()
     print(
         {
             Dominance.STRONGLY_DOMINATES: f"x strongly dominates y for the {side_name}",
@@ -165,9 +166,8 @@ def _cmd_dominates(args) -> int:
 
 def _cmd_join(args, take_join: bool) -> int:
     doc, stable, x, y = _load_pair(args)
-    side = Side.FIRMS if args.side == "F" else Side.WORKERS
     op = join_random if take_join else meet_random
-    result = op(x, y, stable, side, method=args.method)
+    result = op(x, y, stable, Side(args.side), method=args.method)
     print(_format_lottery(result, stable))
     if args.out:
         _write(args.out, dump_lottery(result, doc))

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import ValidationError
-from .lotteries import _WEIGHT, Lottery
+from .lotteries import Lottery, _exact_weight, _printed
 from .matchings import Matching
 from .prefs import AgentId, Market, RankedPreference, ResponsivePreference, Side
 
@@ -74,19 +74,17 @@ class MarketDocument:
         return {name: j for j, name in enumerate(self.worker_names)}
 
     def build_market(self) -> Market:
-        firm_idx = self.firm_index
-        worker_idx = self.worker_index
-        firm_prefs = []
-        for i, name in enumerate(self.firm_names):
-            firm_prefs.append(
-                _build_pref(self.preferences[name], AgentId(Side.FIRMS, i), worker_idx)
+        sides = (
+            (Side.FIRMS, self.firm_names, self.worker_index),
+            (Side.WORKERS, self.worker_names, self.firm_index),
+        )
+        return Market(*(
+            tuple(
+                _build_pref(self.preferences[name], AgentId(side, k), opposite)
+                for k, name in enumerate(names)
             )
-        worker_prefs = []
-        for j, name in enumerate(self.worker_names):
-            worker_prefs.append(
-                _build_pref(self.preferences[name], AgentId(Side.WORKERS, j), firm_idx)
-            )
-        return Market(tuple(firm_prefs), tuple(worker_prefs))
+            for side, names, opposite in sides
+        ))
 
 
 def _build_pref(spec: PrefSpec, owner: AgentId, opposite_index: dict[str, int]):
@@ -103,7 +101,9 @@ def _fail(path: str, message: str, code: str) -> ValidationError:
 
 
 def _need(mapping, key, kind, path: str):
-    if not isinstance(mapping, dict) or key not in mapping:
+    if not isinstance(mapping, dict):
+        raise _fail(path, "expected object", "schema")
+    if key not in mapping:
         raise _fail(path, f"missing key {key!r}", "schema")
     value = mapping[key]
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
@@ -258,13 +258,12 @@ def dump_market(doc: MarketDocument) -> str:
 
 
 def _parse_weight(raw, path: str) -> Fraction:
-    match = _WEIGHT.fullmatch(raw) if isinstance(raw, str) else None
-    if match is None:
+    if not isinstance(raw, str):
         raise _fail(path, f"{raw!r} is not a fraction string n or n/d", "bad-weight")
     try:
-        weight = Fraction(int(match[1]), int(match[2] or 1))
-    except ValueError:  # past the interpreter's integer digit limit
-        raise _fail(path, "weight has too many digits", "bad-weight") from None
+        weight = _exact_weight(raw)
+    except ValidationError as exc:
+        raise _fail(path, str(exc), exc.code) from None
     if weight <= 0 or weight > 1:
         raise _fail(path, f"weight {raw} outside (0, 1]", "bad-weight")
     return weight
@@ -313,7 +312,7 @@ def dump_lottery(lottery: Lottery, doc: MarketDocument) -> str:
             workers = sorted(matching.firm_set(i))
             if workers:
                 assignment[name] = [doc.worker_names[j] for j in workers]
-        terms.append({"weight": str(weight), "matching": assignment})
+        terms.append({"weight": _printed(weight), "matching": assignment})
     return json.dumps({"terms": terms}, indent=2) + "\n"
 
 

@@ -25,13 +25,13 @@ greatest lower bound in the firms' common partial order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from operator import or_
 from typing import Iterable
 
 from .errors import AxiomError, CapacityError, ValidationError
-from .matchings import Matching, find_blocking
-from .prefs import Cmp, Market, mask_subset, profile_violations
+from .matchings import Matching, _transpose, find_blocking
+from .prefs import Cmp, Market, Side, mask_subset, profile_violations
 
 #: Largest market (firm count times worker count) the enumerator accepts.
 ENUMERATION_GUARD = 25
@@ -71,22 +71,22 @@ def compare_workers(m1: Matching, m2: Matching, market: Market) -> Cmp:
     return _compare_pointwise(market.worker_prefs, m1.worker_masks, m2.worker_masks)
 
 
-def _firm_pointing(matchings: Iterable[Matching], market: Market) -> Matching:
-    unions = [0] * market.num_firms
+def _pointing(matchings: Iterable[Matching], market: Market, side: Side) -> Matching:
+    """Every agent on ``side`` takes its choice from the union of its
+    assignments: that side's join, and the other side's meet."""
+    prefs = market.prefs(side)
+    unions = [0] * len(prefs)
     for m in matchings:
-        for i, mask in enumerate(m.firm_masks):
-            unions[i] |= mask
-    masks = tuple(pref.choice_mask(u) for pref, u in zip(market.firm_prefs, unions))
-    return Matching(masks, market.num_workers)
+        for k, mask in enumerate(m.masks(side)):
+            unions[k] |= mask
+    masks = tuple(pref.choice_mask(u) for pref, u in zip(prefs, unions))
+    firm_masks = masks if side is Side.FIRMS else _transpose(masks, market.num_firms)
+    return Matching(firm_masks, market.num_workers)
 
 
-def _worker_pointing(matchings: Iterable[Matching], market: Market) -> Matching:
-    unions = [0] * market.num_workers
-    for m in matchings:
-        for j, mask in enumerate(m.worker_masks):
-            unions[j] |= mask
-    masks = tuple(pref.choice_mask(u) for pref, u in zip(market.worker_prefs, unions))
-    return Matching.from_worker_masks(market.num_firms, masks)
+# Each side's pointing as a function of (matchings, market), for StableSet to memoise.
+_firm_pointing = partial(_pointing, side=Side.FIRMS)
+_worker_pointing = partial(_pointing, side=Side.WORKERS)
 
 
 def _stable_family(matchings: Iterable[Matching], market: Market, operation: str) -> list[Matching]:
@@ -133,9 +133,10 @@ class StableSet:
 
     ``matchings`` is sorted by firm-assignment encoding, so the listing is
     deterministic.  ``firm_table[i][j]`` compares matching ``i`` against
-    matching ``j`` in the firms' common partial order; the table is cached
-    here because every lottery-level algorithm queries it heavily.  Each
-    pair's join and meet is pointed on once, when first asked for, and kept.
+    matching ``j`` in the firms' common partial order; it is built once here
+    for :func:`hasse_edges` and for the decreasing-form check of
+    lottery joins and meets.  Each pair's join and meet is pointed on once,
+    when first asked for, and kept.
     """
 
     market: Market
@@ -208,21 +209,12 @@ def _deferred_acceptance(proposers, receivers) -> tuple[int, ...]:
     """
     available = [(1 << len(receivers)) - 1] * len(proposers)
     while True:
-        offers = [pref.choice_mask(mask) for pref, mask in zip(proposers, available)]
-        received = [0] * len(receivers)
-        for i, mask in enumerate(offers):
-            for j in range(len(receivers)):
-                if mask >> j & 1:
-                    received[j] |= 1 << i
-        rejected = False
-        for j, pref in enumerate(receivers):
-            refused = received[j] & ~pref.choice_mask(received[j])
-            for i in range(len(proposers)):
-                if refused >> i & 1:
-                    available[i] &= ~(1 << j)
-                    rejected = True
-        if not rejected:
-            return tuple(offers)
+        offers = tuple(pref.choice_mask(mask) for pref, mask in zip(proposers, available))
+        received = _transpose(offers, len(receivers))
+        refused = [mask & ~pref.choice_mask(mask) for pref, mask in zip(receivers, received)]
+        if not any(refused):
+            return offers
+        available = [mask & ~lost for mask, lost in zip(available, _transpose(refused, len(proposers)))]
 
 
 def _bracketed_rows(pref, n_opposite: int, top: int, bottom: int) -> list[int]:
@@ -331,9 +323,7 @@ def enumerate_stable(market: Market) -> StableSet:
 
     nf, nw = market.shape
     top = Matching(_deferred_acceptance(market.firm_prefs, market.worker_prefs), nw)
-    bottom = Matching.from_worker_masks(
-        nf, _deferred_acceptance(market.worker_prefs, market.firm_prefs)
-    ).firm_masks
+    bottom = _transpose(_deferred_acceptance(market.worker_prefs, market.firm_prefs), nf)
     rows_per_firm = [
         _bracketed_rows(pref, nw, high, low)
         for pref, high, low in zip(market.firm_prefs, top.firm_masks, bottom)

@@ -42,7 +42,7 @@ from itertools import accumulate, chain, repeat
 from typing import Iterable, Union
 
 from .errors import CapacityError, ValidationError
-from .lattice import StableSet, compare_firms
+from .lattice import StableSet, _compare_pointwise, compare_firms
 from .matchings import Matching, RationalMatrix
 from .prefs import AgentId, Cmp, Market, Side, mask_subset
 
@@ -63,6 +63,34 @@ def _exact_weight(raw: object) -> Fraction:
         return Fraction(int(match[1]), int(match[2] or 1))
     except ValueError:  # past the interpreter's integer digit limit
         raise ValidationError("weight has too many digits", code="bad-weight") from None
+
+
+def _digits(value: Fraction) -> int:
+    """Decimal digits of the longer term of ``value``, counted without ``str``."""
+    n = max(abs(value.numerator), value.denominator)
+    k = max(0, int((n.bit_length() - 1) * math.log10(2)) - 1)  # a lower bound, raised below
+    while 10**k <= n:
+        k += 1
+    return k
+
+
+def _shown(value: Fraction) -> str:
+    """``str(value)`` for a refusal text, or its length past the int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"a fraction of {_digits(value)} digits"
+
+
+def _printed(value: Fraction) -> str:
+    """``str(value)`` for output, refused (bad-weight) past the int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValidationError(
+            f"a weight of {_digits(value)} digits is past the interpreter's integer digit limit",
+            code="bad-weight",
+        ) from None
 
 
 @dataclass(frozen=True, init=False)
@@ -87,7 +115,7 @@ class Lottery:
             if not isinstance(weight, Fraction):
                 raise ValidationError(f"weight {weight!r} is not an exact fraction", code="bad-weight")
             if weight <= 0 or weight > 1:
-                raise ValidationError(f"weight {weight} outside (0, 1]", code="bad-weight")
+                raise ValidationError(f"weight {_shown(weight)} outside (0, 1]", code="bad-weight")
             if matching.shape != shape:
                 raise ValidationError("lottery mixes matchings of different markets", code="mismatched-market")
         # D is the lcm of reduced denominators, so the counts are already in lowest terms.
@@ -95,7 +123,7 @@ class Lottery:
         counts = tuple(w.numerator * (denominator // w.denominator) for w, _ in terms)
         if sum(counts) != denominator:
             total = Fraction(sum(counts), denominator)
-            raise ValidationError(f"weights sum to {total}, not 1", code="weight-sum")
+            raise ValidationError(f"weights sum to {_shown(total)}, not 1", code="weight-sum")
         self.__dict__.update(denominator=denominator, counts=counts, matchings=tuple(m for _, m in terms))
 
     @classmethod
@@ -409,14 +437,15 @@ class Dominance(Enum):
 
 def _favours(alignment: SplitAlignment, market: Market, who: Union[Side, AgentId], flipped: bool) -> bool:
     """True iff every aligned pair weakly favours its left matching (its
-    right one when ``flipped``) for ``who``: one agent, or each agent on a side."""
-    agents = (who,) if isinstance(who, AgentId) else tuple(a for a in market.agents() if a.side is who)
-    prefs = [market.pref(agent) for agent in agents]
+    right one when ``flipped``) for ``who``: each agent on a side, or one
+    agent, taken as a side of one."""
+    if isinstance(who, AgentId):
+        prefs, side, agents = (market.pref(who),), who.side, slice(who.index, who.index + 1)
+    else:
+        prefs, side, agents = market.prefs(who), who, slice(None)
     pairs = zip(alignment.right, alignment.left) if flipped else zip(alignment.left, alignment.right)
     return all(
-        pref.compare_masks(a.assigned_mask(agent), b.assigned_mask(agent)).at_least
-        for a, b in pairs
-        for agent, pref in zip(agents, prefs)
+        _compare_pointwise(prefs, a.masks(side)[agents], b.masks(side)[agents]).at_least for a, b in pairs
     )
 
 

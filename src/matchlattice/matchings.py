@@ -20,6 +20,20 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _transpose(masks: Iterable[int], width: int) -> tuple[int, ...]:
+    """The same incidence read from the other side: bit ``i`` of row ``j``
+    is bit ``j`` of ``masks[i]``.  Every mask must lie below ``2**width``."""
+    rows = [0] * width
+    for i, mask in enumerate(masks):
+        if not 0 <= mask < 1 << width:
+            raise ValidationError(f"index outside the opposite side 0..{width - 1}", code="unknown-agent")
+        while mask:
+            low = mask & -mask
+            rows[low.bit_length() - 1] |= 1 << i
+            mask ^= low
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class Matching:
     """An assignment of workers to firms, symmetric across sides."""
@@ -29,18 +43,7 @@ class Matching:
     worker_masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        limit = 1 << self.num_workers
-        for mask in self.firm_masks:
-            if not 0 <= mask < limit:
-                raise ValidationError("worker index outside the market", code="unknown-agent")
-        derived = [0] * self.num_workers
-        for i, mask in enumerate(self.firm_masks):
-            rest = mask
-            while rest:
-                low = rest & -rest
-                derived[low.bit_length() - 1] |= 1 << i
-                rest ^= low
-        object.__setattr__(self, "worker_masks", tuple(derived))
+        object.__setattr__(self, "worker_masks", _transpose(self.firm_masks, self.num_workers))
 
     @classmethod
     def from_edges(cls, num_firms: int, num_workers: int, edges: Iterable[tuple[int, int]]) -> "Matching":
@@ -60,16 +63,7 @@ class Matching:
 
     @classmethod
     def from_worker_masks(cls, num_firms: int, worker_masks: tuple[int, ...]) -> "Matching":
-        firm = [0] * num_firms
-        for j, mask in enumerate(worker_masks):
-            if not 0 <= mask < (1 << num_firms):
-                raise ValidationError("firm index outside the market", code="unknown-agent")
-            rest = mask
-            while rest:
-                low = rest & -rest
-                firm[low.bit_length() - 1] |= 1 << j
-                rest ^= low
-        return cls(tuple(firm), len(worker_masks))
+        return cls(_transpose(worker_masks, num_firms), len(worker_masks))
 
     @classmethod
     def empty(cls, num_firms: int, num_workers: int) -> "Matching":
@@ -89,16 +83,16 @@ class Matching:
     def worker_set(self, worker: int) -> frozenset[int]:
         return mask_subset(self.worker_masks[worker])
 
+    def masks(self, side: Side) -> tuple[int, ...]:
+        """Each agent on ``side``'s partners as a bitmask, by index."""
+        return self.firm_masks if side is Side.FIRMS else self.worker_masks
+
     def assigned(self, agent: AgentId) -> frozenset[int]:
         """The partners matched to ``agent`` (empty when unmatched)."""
-        if agent.side is Side.FIRMS:
-            return self.firm_set(agent.index)
-        return self.worker_set(agent.index)
+        return mask_subset(self.assigned_mask(agent))
 
     def assigned_mask(self, agent: AgentId) -> int:
-        if agent.side is Side.FIRMS:
-            return self.firm_masks[agent.index]
-        return self.worker_masks[agent.index]
+        return self.masks(agent.side)[agent.index]
 
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(
@@ -174,12 +168,10 @@ def find_blocking(matching: Matching, market: Market) -> Optional[BlockingWitnes
             f"matching shape {matching.shape} does not fit market {market.shape}",
             code="mismatched-market",
         )
-    for i, pref in enumerate(market.firm_prefs):
-        if pref.choice_mask(matching.firm_masks[i]) != matching.firm_masks[i]:
-            return AgentId(Side.FIRMS, i)
-    for j, pref in enumerate(market.worker_prefs):
-        if pref.choice_mask(matching.worker_masks[j]) != matching.worker_masks[j]:
-            return AgentId(Side.WORKERS, j)
+    for side in Side:
+        for index, (pref, mask) in enumerate(zip(market.prefs(side), matching.masks(side))):
+            if pref.choice_mask(mask) != mask:
+                return AgentId(side, index)
     for i, fpref in enumerate(market.firm_prefs):
         fmask = matching.firm_masks[i]
         for j, wpref in enumerate(market.worker_prefs):

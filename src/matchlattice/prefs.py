@@ -317,17 +317,20 @@ class Market:
     def shape(self) -> tuple[int, int]:
         return (self.num_firms, self.num_workers)
 
+    def prefs(self, side: Side) -> tuple[Preference, ...]:
+        """The preferences of the agents on ``side``, by index."""
+        return self.firm_prefs if side is Side.FIRMS else self.worker_prefs
+
     def pref(self, agent: AgentId) -> Preference:
-        prefs = self.firm_prefs if agent.side is Side.FIRMS else self.worker_prefs
+        prefs = self.prefs(agent.side)
         if not 0 <= agent.index < len(prefs):
             raise ValidationError(f"no such agent {agent}", code="unknown-agent")
         return prefs[agent.index]
 
     def agents(self) -> Iterable[AgentId]:
-        for i in range(self.num_firms):
-            yield AgentId(Side.FIRMS, i)
-        for j in range(self.num_workers):
-            yield AgentId(Side.WORKERS, j)
+        for side in Side:
+            for index in range(len(self.prefs(side))):
+                yield AgentId(side, index)
 
 
 def profile_violations(market: Market) -> list[tuple[AgentId, str, tuple]]:

@@ -328,6 +328,35 @@ class TestErrors:
         assert "error[weight-sum]" in err
         assert err == "error[weight-sum]: $.terms: weights sum to 5/6, not 1\n"
 
+    def test_weights_past_the_digit_limit_exit_two(self, capsys, tmp_path):
+        # Each denominator has 3,000 digits, within the interpreter's limit;
+        # their sum and the split's shared weights have 5,999, past it.
+        long_a, long_b = int("1" * 3000), int("1" * 2998 + "13")
+        terms = json.loads(Path(X).read_text())["terms"]
+        top, bottom = terms[0]["matching"], terms[-1]["matching"]
+
+        def write(name, weights):
+            path = tmp_path / name
+            path.write_text(json.dumps({"terms": [
+                {"weight": w, "matching": m} for w, m in zip(weights, (top, bottom))
+            ]}))
+            return str(path)
+
+        two = write("two.json", (f"1/{long_a}", f"1/{long_b}"))
+        code, out, err = run(capsys, "decompose", MARKET, two)
+        assert (code, out) == (2, "")
+        assert err == "error[weight-sum]: $.terms: weights sum to a fraction of 5999 digits, not 1\n"
+
+        x = write("x.json", (f"1/{long_a}", f"{long_a - 1}/{long_a}"))
+        y = write("y.json", (f"1/{long_b}", f"{long_b - 1}/{long_b}"))
+        code, out, err = run(capsys, "split", MARKET, x, y)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error[bad-weight]: a weight of 5999 digits is past the interpreter's integer digit limit\n"
+        )
+        for argv in (("join", "--side", "F"), ("dominates", "--side", "W"), ("rht",)):
+            assert run(capsys, argv[0], MARKET, x, y, *argv[1:])[0] == 0
+
     def test_capacity_guard_exits_three(self, capsys, tmp_path):
         firms = [f"f{i}" for i in range(1, 7)]
         workers = [f"w{j}" for j in range(1, 6)]

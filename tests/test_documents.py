@@ -93,6 +93,12 @@ class TestParseMarket:
     def test_missing_key(self):
         assert error_code(parse_market, json.dumps({"firms": []})) == "schema"
 
+    def test_non_object_is_refused_as_such(self):
+        error = error_of(parse_market, json.dumps([]))
+        assert (error.code, str(error)) == ("schema", "$: expected object")
+        error = error_of(parse_market, example_with("w1", {"responsive": "x"}))
+        assert (error.code, str(error)) == ("schema", "$.preferences.w1.responsive: expected object")
+
     def test_duplicate_names(self):
         doc = {"firms": ["a", "a"], "workers": ["w"], "preferences": {}}
         assert error_code(parse_market, json.dumps(doc)) == "duplicate-name"
@@ -223,6 +229,15 @@ class TestParseLottery:
         assert error_code(parse_lottery, json.dumps(doc), example_doc) == "bad-weight"
         doc = {"terms": [{"weight": "half", "matching": {}}]}
         assert error_code(parse_lottery, json.dumps(doc), example_doc) == "bad-weight"
+
+    def test_non_object_term_is_refused_as_such(self, example_doc):
+        error = error_of(parse_lottery, json.dumps({"terms": ["x"]}), example_doc)
+        assert (error.code, str(error)) == ("schema", "$.terms[0]: expected object")
+
+    def test_json_number_weight_is_refused(self, example_doc):
+        doc = {"terms": [{"weight": 1, "matching": {}}]}
+        error = error_of(parse_lottery, json.dumps(doc), example_doc)
+        assert (error.code, str(error)) == ("bad-weight", "$.terms[0].weight: 1 is not a fraction string n or n/d")
 
     @pytest.mark.parametrize(
         "weight",

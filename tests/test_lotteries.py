@@ -103,6 +103,14 @@ class TestLotteryType:
                 lottery(*pairs)
             assert info.value.code == "bad-weight", pairs
 
+    def test_weights_past_the_digit_limit_refused_with_their_length(self, nus):
+        # Both denominators are 3,000 digits long; the sum's denominator has 5,999.
+        weights = ("1/" + "1" * 3000, "1/" + "1" * 2998 + "13")
+        with pytest.raises(ValidationError) as info:
+            lottery((weights[0], nus[0]), (weights[1], nus[3]))
+        assert info.value.code == "weight-sum"
+        assert str(info.value) == "weights sum to a fraction of 5999 digits, not 1"
+
     def test_merged_aggregates_repeats(self, nus):
         raw = lottery(("1/4", nus[0]), ("1/4", nus[1]), ("1/2", nus[0]))
         merged = raw.merged()
@@ -383,6 +391,11 @@ class TestDominance:
         # Firm f1 already refuses both directions of the reference pair.
         outcome = dominates(canonical_x, canonical_y, example_stable, AgentId(Side.FIRMS, 0))
         assert outcome is Dominance.INCOMPARABLE
+
+    def test_agent_outside_the_market_refused(self, canonical_x, canonical_y, example_stable):
+        with pytest.raises(ValidationError) as info:
+            dominates(canonical_x, canonical_y, example_stable, AgentId(Side.WORKERS, 99))
+        assert info.value.code == "unknown-agent"
 
     def test_workers_rank_the_firm_join_below_its_inputs(
         self, canonical_x, canonical_y, example_stable

@@ -53,6 +53,22 @@ class TestMatching:
         with pytest.raises(ValidationError):
             Matching.from_edges(2, 2, [(2, 0)])
 
+    def test_indices_outside_the_opposite_side_refused(self):
+        for build in (lambda: Matching((1 << 9,), 4), lambda: Matching.from_worker_masks(2, (1 << 5,))):
+            with pytest.raises(ValidationError) as info:
+                build()
+            assert info.value.code == "unknown-agent"
+
+    def test_side_views_and_transpose_round_trip(self, example_market):
+        rng = random.Random(14)
+        for _ in range(50):
+            nf, nw = rng.randint(0, 5), rng.randint(0, 5)
+            m = Matching(tuple(rng.randrange(1 << nw) for _ in range(nf)), nw)
+            assert Matching.from_worker_masks(nf, m.worker_masks) == m
+            assert (m.masks(Side.FIRMS), m.masks(Side.WORKERS)) == (m.firm_masks, m.worker_masks)
+        market = example_market
+        assert (market.prefs(Side.FIRMS), market.prefs(Side.WORKERS)) == (market.firm_prefs, market.worker_prefs)
+
     def test_empty(self):
         m = Matching.empty(3, 2)
         assert m.edges() == frozenset()
@@ -129,6 +145,14 @@ class TestStability:
         m = Matching.from_firm_sets(4, [{0, 3}, (), (), ()])
         witness = find_blocking(m, example_market)
         assert witness == AgentId(Side.FIRMS, 0)
+
+    def test_firms_are_tested_for_individual_rationality_first(self, example_market):
+        # f4 drops w1 from the unranked pair {w1,w4}; w1 drops f1 from {f1,f2,f4}.
+        m = Matching.from_firm_sets(4, [{0}, {0}, (), {0, 3}])
+        for agent in (AgentId(Side.FIRMS, 3), AgentId(Side.WORKERS, 0)):
+            pref = example_market.pref(agent)
+            assert pref.choice_mask(m.assigned_mask(agent)) != m.assigned_mask(agent)
+        assert find_blocking(m, example_market) == AgentId(Side.FIRMS, 3)
 
     def test_agrees_with_literal_oracle_on_random_assignments(self, example_market):
         rng = random.Random(13)
