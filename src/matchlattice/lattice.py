@@ -136,7 +136,8 @@ class StableSet:
     matching ``j`` in the firms' common partial order; it is built once here
     for :func:`hasse_edges` and for the decreasing-form check of
     lottery joins and meets.  Each pair's join and meet is pointed on once,
-    when first asked for, and kept.
+    when first asked for, and kept; so are the down-sets of
+    :meth:`_down_sets`.
     """
 
     market: Market
@@ -145,6 +146,7 @@ class StableSet:
     _positions: dict = field(init=False, compare=False, repr=False)
     _joins: dict = field(init=False, compare=False, repr=False, default_factory=dict)
     _meets: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+    _profile: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_positions", {m: i for i, m in enumerate(self.matchings)})
@@ -188,6 +190,13 @@ class StableSet:
         if key not in memo:
             memo[key] = self.index(point((self.matchings[i], self.matchings[j]), self.market))
         return memo[key]
+
+    def _down_sets(self) -> tuple[tuple[int, ...], dict[int, int]]:
+        """Each member's down-set over the join-irreducibles as a bitmask, by
+        position, and the position of each down-set (see :func:`_profile_index`)."""
+        if self._profile is None:
+            object.__setattr__(self, "_profile", _profile_index(self))
+        return self._profile
 
     @property
     def firm_optimal(self) -> Matching:
@@ -295,6 +304,7 @@ def _search(market: Market, rows_per_firm: list[list[int]], need: list[int]) -> 
                 held[j] ^= bit
 
     place(0, sum(1 << j for j in range(nw) if need[j] == 0))
+    del place  # it refers to itself through its closure: a cycle holding the market
     return found
 
 
@@ -365,6 +375,46 @@ def hasse_edges(stable_set: StableSet) -> tuple[tuple[int, int], ...]:
         covers = down & ~reduce(or_, (below[k] for k in mask_subset(down)), 0)
         edges.extend((i, j) for j in sorted(mask_subset(covers)))
     return tuple(edges)
+
+
+def _profile_index(stable_set: StableSet) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Birkhoff's representation of the stable set: each member as its
+    down-set over J, the join-irreducible members (those with exactly one
+    lower cover), bit b of a down-set standing for the b-th member of J.
+
+    Refused (not-in-stable-set) unless the down-sets are distinct, the empty
+    one (the bottom) is among them, and every cover adds exactly one member j
+    of J and changes the same cells as j's own cover.  Then each member's
+    incidence matrix is the bottom's plus the changes of the members of J in
+    its down-set, which is what lets a lottery be read off its profile over J.
+    """
+    edges = hasse_edges(stable_set)
+    lower = [[] for _ in stable_set.matchings]
+    for i, k in edges:
+        lower[i].append(k)
+    irreducibles = [i for i, covers in enumerate(lower) if len(covers) == 1]
+    masks = tuple(
+        sum(1 << b for b, j in enumerate(irreducibles) if row[j].at_least)
+        for row in stable_set.firm_table
+    )
+    position = {mask: k for k, mask in enumerate(masks)}
+
+    def change(i: int, k: int) -> tuple[tuple[int, int], ...]:
+        """The cells, per firm, that the cover of k by i turns on and off."""
+        pairs = zip(stable_set[i].firm_masks, stable_set[k].firm_masks)
+        return tuple((a & ~b, b & ~a) for a, b in pairs)
+
+    own = {1 << b: change(j, lower[j][0]) for b, j in enumerate(irreducibles)}
+    if (
+        len(position) < len(masks)
+        or 0 not in position
+        or any(masks[k] & ~masks[i] or own.get(masks[i] ^ masks[k]) != change(i, k) for i, k in edges)
+    ):
+        raise ValidationError(
+            "the stable set is not the lattice of down-sets of its join-irreducibles",
+            code="not-in-stable-set",
+        )
+    return masks, position
 
 
 def to_dot(stable_set: StableSet) -> str:

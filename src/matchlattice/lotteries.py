@@ -3,10 +3,14 @@
 A random stable matching is a finite lottery over stable matchings with
 exact rational weights.  The same expectation matrix admits many lotteries;
 the canonical one is the *decreasing representation*, in which the matchings
-strictly descend in the firms' common partial order.  :func:`decompose`
-computes it by repeatedly peeling the firm-side least upper bound of a
-closed pool of candidates off the residual probability matrix, and the
-result is independent of the input representation.
+strictly descend in the firms' common partial order, and it is independent
+of the input representation.  The stable set is a distributive lattice, so
+each member is its down-set over the join-irreducible members J (Birkhoff),
+and :func:`decompose` reads the canonical form off the lottery's profile
+p(j) = P(m >=_F j) by sweeping its levels in ascending order.
+:func:`decompose_run` is the paper's traced construction of the same form:
+it repeatedly peels the firm-side least upper bound of a closed pool of
+candidates off the residual probability matrix and records every round.
 
 On canonical forms the package provides
 
@@ -22,11 +26,12 @@ On canonical forms the package provides
   greatest lower bound for a side, computed termwise over a refinement.
 
 A :class:`Lottery` stores its mass as integer counts of 1/D, D the lcm of its
-weight denominators; its Fraction weights are views.  Decomposition peels
-integer cell counts, both refinements are a :class:`SplitAlignment` of integer
-slice counts, and the rural-hospital check compares cross-multiplied cell
-counts.  Dominance adds no weights at all.  A :class:`~fractions.Fraction` is
-made per weight or trace value read; no tolerance is used anywhere.
+weight denominators; its Fraction weights are views.  The sweep adds
+integer counts over J and the peel subtracts integer cell counts; both
+refinements are a :class:`SplitAlignment` of integer slice counts, and the
+rural-hospital check compares cross-multiplied cell counts.  Dominance adds
+no weights at all.  A :class:`~fractions.Fraction` is made per weight or
+trace value read; no tolerance is used anywhere.
 """
 
 from __future__ import annotations
@@ -113,7 +118,9 @@ class Lottery:
         shape = terms[0][1].shape
         for weight, matching in terms:
             if not isinstance(weight, Fraction):
-                raise ValidationError(f"weight {weight!r} is not an exact fraction", code="bad-weight")
+                raise ValidationError(
+                    f"a weight of type {type(weight).__name__} is not an exact fraction", code="bad-weight"
+                )
             if weight <= 0 or weight > 1:
                 raise ValidationError(f"weight {_shown(weight)} outside (0, 1]", code="bad-weight")
             if matching.shape != shape:
@@ -272,7 +279,15 @@ def _closed_pool(support: Iterable[int], stable_set: StableSet) -> list[int]:
 
 
 def decompose_run(lottery: Lottery, stable_set: StableSet) -> DecompositionRun:
-    """Decompose with a full per-step trace (see :func:`decompose`)."""
+    """The paper's decreasing decomposition, with a full per-step trace.
+
+    The pool starts as the lottery's support closed under joins and meets.
+    The expectation matrix is counted in whole units of one common
+    denominator.  Each round peels the pool's firm-side least upper bound off
+    those counts at the largest feasible weight, the least count over its
+    matched cells, and drops every pool member that used an exhausted cell.
+    The result is the same lottery :func:`decompose` returns.
+    """
     # Looking the terms up is the membership check: raises not-in-stable-set.
     pool = _closed_pool(map(stable_set.index, lottery.matchings), stable_set)
     # Mass is counted in whole units of 1/denominator; left is what is unpeeled.
@@ -319,18 +334,54 @@ def decompose_run(lottery: Lottery, stable_set: StableSet) -> DecompositionRun:
     return DecompositionRun(tuple(steps), Lottery._counted(denominator, terms))
 
 
+def _descends(stable_set: StableSet, positions: list[int]) -> bool:
+    """True iff the members at ``positions`` strictly descend for the firms."""
+    return all(stable_set.cmp_f(a, b) is Cmp.GREATER for a, b in zip(positions, positions[1:]))
+
+
 def decompose(lottery: Lottery, stable_set: StableSet) -> Lottery:
     """Rewrite a lottery into its unique decreasing representation.
 
-    The pool starts as the lottery's support closed under joins and meets.
-    The expectation matrix is counted in whole units of one common
-    denominator.  Each round peels the pool's firm-side least upper bound off
-    those counts at the largest feasible weight, the least count over its
-    matched cells, and drops every pool member that used an exhausted cell.
-    The output matchings strictly descend for the firms, and two input
-    lotteries with equal expectation matrices always produce identical output.
+    A lottery whose matchings already strictly descend for the firms is its
+    own canonical form.  Any other is read off its profile over the
+    join-irreducible members J: p(j), in whole units of 1/D, is the mass on
+    the members at or above j.  Sweeping the distinct nonzero levels v of p
+    in ascending order, level v gives the member whose down-set over J is
+    {j : p(j) >= v}, with the count v minus the previous level, and the mass
+    up to D left after the highest level goes to the bottom.  The output
+    matchings strictly descend for the firms, and two input lotteries with
+    equal expectation matrices always produce identical output: the same as
+    the paper's peeling loop, :func:`decompose_run`, which also keeps a trace.
+
+    A term outside the stable set, a stable set that is not the lattice of
+    down-sets of its join-irreducibles, and a down-set the sweep needs but
+    the stable set lacks are refused with not-in-stable-set.
     """
-    return decompose_run(lottery, stable_set).result
+    # Looking the terms up is the membership check: raises not-in-stable-set.
+    positions = [stable_set.index(m) for m in lottery.matchings]
+    if _descends(stable_set, positions):
+        return lottery
+    masks, position_of = stable_set._down_sets()
+    # Each member of J is in its own down-set, so the largest mask spans J.
+    profile = [0] * max(masks).bit_length()
+    for count, k in zip(lottery.counts, positions):
+        for b in mask_subset(masks[k]):
+            profile[b] += count
+    runs, previous = [], 0
+    for level in sorted(set(profile) - {0}):
+        runs.append((level - previous, sum(1 << b for b, p in enumerate(profile) if p >= level)))
+        previous = level
+    if previous < lottery.denominator:
+        runs.append((lottery.denominator - previous, 0))  # the bottom's down-set is empty
+    try:
+        runs = [(c, position_of[mask]) for c, mask in runs]
+    except KeyError:
+        raise ValidationError(
+            "the decreasing form needs a matching the stable set does not hold", code="not-in-stable-set"
+        ) from None
+    if not _descends(stable_set, [k for _, k in runs]):
+        raise ValidationError("the profile sweep is not in decreasing form", code="not-canonical")
+    return Lottery._counted(lottery.denominator, ((c, stable_set[k]) for c, k in runs))
 
 
 @dataclass(frozen=True)
@@ -435,6 +486,15 @@ class Dominance(Enum):
         return self in (Dominance.STRONGLY_DOMINATES, Dominance.EQUAL)
 
 
+def _require_side(who: object, agent_allowed: bool = False) -> None:
+    """Refuse (bad-side) a ``who`` that is not a :class:`Side`, or, where
+    ``agent_allowed``, an :class:`AgentId` of one."""
+    if isinstance(who, Side) or (agent_allowed and isinstance(who, AgentId) and isinstance(who.side, Side)):
+        return
+    wanted = "a Side or an AgentId" if agent_allowed else "a Side"
+    raise ValidationError(f"expected {wanted}, got a {type(who).__name__}", code="bad-side")
+
+
 def _favours(alignment: SplitAlignment, market: Market, who: Union[Side, AgentId], flipped: bool) -> bool:
     """True iff every aligned pair weakly favours its left matching (its
     right one when ``flipped``) for ``who``: each agent on a side, or one
@@ -468,6 +528,7 @@ def dominates(x: Lottery, y: Lottery, stable_set: StableSet, who: Union[Side, Ag
     above v and ``x`` at most c_{k-1}, c_k being the weight of slices 1..k
     (for a worker, read the slices from the other end).
     """
+    _require_side(who, agent_allowed=True)
     alignment = _refined(x, y, stable_set, "split")
     forward = _favours(alignment, stable_set.market, who, flipped=False)
     backward = _favours(alignment, stable_set.market, who, flipped=True)
@@ -484,6 +545,7 @@ def split_dominates(x: Lottery, y: Lottery, stable_set: StableSet, side: Side) -
     """True iff ``x`` weakly dominates ``y`` for ``side``: every aligned pair
     of the split of their decreasing representations weakly favours ``x``
     (the forward half of :func:`dominates`)."""
+    _require_side(side)
     return _favours(_refined(x, y, stable_set, "split"), stable_set.market, side, flipped=False)
 
 
@@ -503,7 +565,7 @@ def _combine_termwise(
         (c for c, _ in pairs),
         (combine(index(a), index(b)) for _, (a, b) in pairs),
     )
-    if any(stable_set.cmp_f(a, b) is not Cmp.GREATER for (_, a), (_, b) in zip(runs, runs[1:])):
+    if not _descends(stable_set, [k for _, k in runs]):
         # Termwise combination of two decreasing chains is monotone, so this
         # only happens when the stable set or the market is inconsistent.
         raise ValidationError("termwise combination is not in decreasing form", code="not-canonical")
@@ -533,6 +595,7 @@ def join_random(
     The result weakly dominates both inputs and is below every common upper
     bound; firm-side join equals worker-side meet.
     """
+    _require_side(side)
     return _combine_termwise(_refined(x, y, stable_set, method), side, True, stable_set)
 
 
@@ -541,6 +604,7 @@ def meet_random(
 ) -> Lottery:
     """Greatest lower bound of two lotteries for a side (see
     :func:`join_random`); firm-side meet equals worker-side join."""
+    _require_side(side)
     return _combine_termwise(_refined(x, y, stable_set, method), side, False, stable_set)
 
 

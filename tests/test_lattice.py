@@ -1,6 +1,7 @@
 """Stable-set enumeration, the firms' partial order, and the deterministic
 join/meet operations."""
 
+import gc
 import itertools
 import random
 import time
@@ -33,7 +34,7 @@ from matchlattice import (
 )
 from matchlattice import lattice
 from matchlattice.lattice import _bracketed_rows, _deferred_acceptance
-from conftest import block_diagonal_market, one_firm_market
+from conftest import block_diagonal_market, build_example_market, one_firm_market
 from oracles import (
     block_product_oracle,
     choice_oracle,
@@ -270,6 +271,18 @@ class TestSearch:
         # blocks' three covers while the other three blocks stay put.
         assert len(set(stable)) == len(stable) == 4 ** 4
         assert len(edges) == 4 * 3 * 4 ** 3
+
+    def test_enumeration_leaves_no_cyclic_garbage(self):
+        # The search's nested recursion must not leave a cycle that keeps the
+        # market alive until the cyclic collector runs.
+        market = build_example_market()
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_stable(market)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_responsive_agents_keep_the_axiom_size_guard(self):
         # 17 cells pass the enumeration guard; the firm's 17 workers exceed

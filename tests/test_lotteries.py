@@ -1,6 +1,7 @@
 """Lottery decomposition, splitting, dominance, and lottery-level join/meet,
 pinned to the worked 4x4 example and cross-checked against naive oracles."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from matchlattice import (
     AgentId,
     CapacityError,
+    Cmp,
     Dominance,
     Lottery,
     Market,
@@ -33,6 +35,7 @@ from matchlattice import (
     split_dominates,
 )
 from matchlattice import lattice
+from matchlattice import lotteries as lottery_module
 from matchlattice.lotteries import LCM_SLICE_GUARD, _combine_termwise
 from conftest import LONG_WEIGHT, alternative_representations, block_diagonal_market, random_lottery
 from oracles import decompose_oracle, dominance_sums_oracle, expectation_oracle, weak_dominance_oracle
@@ -110,6 +113,12 @@ class TestLotteryType:
             lottery((weights[0], nus[0]), (weights[1], nus[3]))
         assert info.value.code == "weight-sum"
         assert str(info.value) == "weights sum to a fraction of 5999 digits, not 1"
+
+    def test_int_weight_past_the_digit_limit_refused_without_printing_it(self, nus):
+        with pytest.raises(ValidationError) as info:
+            Lottery(((10**5000, nus[0]),))
+        assert info.value.code == "bad-weight"
+        assert str(info.value) == "a weight of type int is not an exact fraction"
 
     def test_merged_aggregates_repeats(self, nus):
         raw = lottery(("1/4", nus[0]), ("1/4", nus[1]), ("1/2", nus[0]))
@@ -250,7 +259,8 @@ class TestDecompose:
 class TestDecomposeOracle:
     """Every trace field and the result against the paper's rescaling
     recurrence, on each lottery and on its expectation-preserving rewritings
-    (halved repeated terms; a pair traded for its join and meet)."""
+    (halved repeated terms; a pair traded for its join and meet); the
+    profile sweep of :func:`decompose` must return the same result."""
 
     @staticmethod
     def check(lottery, stable):
@@ -258,6 +268,7 @@ class TestDecomposeOracle:
         representations = [lottery] + alternative_representations(lottery, stable)
         for representation in representations:
             run = decompose_run(representation, stable)
+            assert decompose(representation, stable) == run.result
             steps, result = decompose_oracle(representation.terms, list(stable), stable.market)
             assert len(run.steps) == len(steps)
             for index, (step, expected) in enumerate(zip(run.steps, steps), 1):
@@ -289,6 +300,132 @@ class TestDecomposeOracle:
         for case in corpus:
             for lottery in case.lotteries:
                 self.check(lottery, case.stable)
+
+
+def sub_stable_set(stable, keep):
+    """The members of ``stable`` at the positions ``keep``, with their table."""
+    keep = sorted(keep)
+    table = tuple(tuple(stable.firm_table[a][b] for b in keep) for a in keep)
+    return StableSet(stable.market, tuple(stable[k] for k in keep), table)
+
+
+def answer(operation, lottery, stable):
+    """The operation's result, or the code of its refusal."""
+    try:
+        return operation(lottery, stable)
+    except ValidationError as error:
+        return error.code
+
+
+class TestDecomposeSweep:
+    """The profile sweep of :func:`decompose` against the traced peel and
+    the literal recurrence, and its down-set index on the stable set."""
+
+    @pytest.mark.parametrize(
+        "sizes, irreducibles",
+        [((3, 2), 3), ((2, 2, 2), 3), ((4, 4, 4), 9)],
+        ids=["block-3+2", "block-2+2+2", "latin-4^3"],
+    )
+    def test_members_are_the_down_sets_of_the_irreducibles(self, monkeypatch, sizes, irreducibles):
+        monkeypatch.setattr(lattice, "ENUMERATION_GUARD", 144)
+        stable = enumerate_stable(block_diagonal_market(sizes))
+        masks, position_of = stable._down_sets()
+        # A product of chains of lengths n: n - 1 irreducibles per chain.
+        assert max(masks).bit_length() == irreducibles
+        assert sorted(position_of.values()) == list(range(len(stable)))
+        assert all(position_of[mask] == k for k, mask in enumerate(masks))
+        for i, j in itertools.product(range(len(stable)), repeat=2):
+            below = masks[j] & ~masks[i] == 0
+            assert below == stable.cmp_f(i, j).at_least
+
+    def test_golden_irreducibles_are_an_antichain_of_four(self, example_stable):
+        masks, _ = example_stable._down_sets()
+        assert len(set(masks)) == 16 and max(masks) == 0b1111
+
+    @pytest.mark.parametrize(
+        "sizes, count, oracle",
+        [((2, 2, 2), 40, True), ((4, 4, 4), 3, True), ((4, 4, 4), 40, False)],
+        ids=["block-2+2+2", "latin-4^3-oracle", "latin-4^3"],
+    )
+    def test_block_markets(self, monkeypatch, sizes, count, oracle):
+        # The oracle scans every pair of members, so latin-4^3 gets few lotteries.
+        monkeypatch.setattr(lattice, "ENUMERATION_GUARD", 144)
+        stable = enumerate_stable(block_diagonal_market(sizes))
+        rng = random.Random(len(stable) + count)
+        for _ in range(count):
+            x = random_lottery(rng, stable)
+            if oracle:
+                TestDecomposeOracle.check(x, stable)
+            else:
+                for representation in [x] + alternative_representations(x, stable):
+                    assert decompose(representation, stable) == decompose_run(representation, stable).result
+
+    def test_sweep_points_on_nothing(self, monkeypatch, raw_x, example_stable):
+        rng = random.Random(29)
+        inputs = [raw_x] + [random_lottery(rng, example_stable) for _ in range(20)]
+        assert not is_decreasing(raw_x, example_stable.market)
+        expected = [decompose_run(x, example_stable).result for x in inputs]
+        fresh = StableSet(example_stable.market, example_stable.matchings, example_stable.firm_table)
+        calls = []
+        for owner, name in ((lottery_module, "_closed_pool"), (StableSet, "join"), (StableSet, "meet")):
+            def counting(*args, name=name, kernel=getattr(owner, name)):
+                calls.append(name)
+                return kernel(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        assert [decompose(x, fresh) for x in inputs] == expected
+        assert calls == []
+
+    def test_a_diamond_whose_top_is_not_the_join_is_refused(self, example_stable):
+        # b and c are incomparable, d is their meet, and a lies strictly above
+        # their join: {a, b, c, d} is ordered as a diamond, but the cells
+        # a adds over b are not the cells c adds over d.
+        stable = example_stable
+        a, b, c = next(
+            (a, b, c)
+            for a, b, c in itertools.permutations(range(len(stable)), 3)
+            if stable.cmp_f(b, c) is Cmp.INCOMPARABLE and stable.cmp_f(a, stable.join(b, c)) is Cmp.GREATER
+        )
+        diamond = sub_stable_set(stable, {a, b, c, stable.meet(b, c)})
+        with pytest.raises(ValidationError) as info:
+            diamond._down_sets()
+        assert info.value.code == "not-in-stable-set"
+        middles = lottery(("1/2", stable[b]), ("1/2", stable[c]))
+        assert answer(decompose, middles, diamond) == "not-in-stable-set"
+
+    @pytest.mark.parametrize("build", [None, (3, 2), (2, 2)], ids=["golden", "block-3+2", "block-2+2"])
+    def test_sub_stable_sets_refuse_or_agree_with_the_peel(self, request, build):
+        # Dropping members can break the lattice: the sweep may then refuse
+        # where the peel answers, or answer where the peel refuses, but when
+        # both answer they agree, and every answer is a decreasing rewriting.
+        if build is None:
+            stable = request.getfixturevalue("example_stable")
+        else:
+            stable = enumerate_stable(block_diagonal_market(build))
+        market = stable.market
+        rng = random.Random(len(stable))
+        members = range(len(stable))
+        subsets = [[k for k in members if k != drop] for drop in members]
+        subsets += [rng.sample(members, rng.randint(2, len(stable) - 1)) for _ in range(len(stable))]
+        outcomes = {"agree": 0, "sweep-refuses": 0, "peel-refuses": 0}
+        for keep in subsets:
+            partial = sub_stable_set(stable, keep)
+            for _ in range(8):
+                x = random_lottery(rng, partial)
+                peeled = answer(lambda x, s: decompose_run(x, s).result, x, partial)
+                swept = answer(decompose, x, partial)
+                if isinstance(swept, Lottery):
+                    assert is_decreasing(swept, market)
+                    assert swept.expectation() == x.expectation()
+                    if isinstance(peeled, Lottery):
+                        assert swept == peeled
+                        outcomes["agree"] += 1
+                    else:
+                        outcomes["peel-refuses"] += 1
+                else:
+                    assert swept in ("not-in-stable-set", "not-canonical")
+                    outcomes["sweep-refuses"] += isinstance(peeled, Lottery)
+        assert outcomes["agree"] > 0, outcomes
 
 
 class TestSplit:
@@ -454,6 +591,18 @@ class TestDominance:
                 ).weakly_dominates
 
 
+@pytest.mark.parametrize(
+    "operation",
+    [dominates, split_dominates, join_random, meet_random],
+    ids=["dominates", "split_dominates", "join_random", "meet_random"],
+)
+def test_side_given_as_text_refused(operation, canonical_x, canonical_y, example_stable):
+    # "F" is Side.FIRMS's value, not the side: it used to fall through to the workers.
+    with pytest.raises(ValidationError) as info:
+        operation(canonical_x, canonical_y, example_stable, "F")
+    assert info.value.code == "bad-side"
+
+
 class TestDominanceOracle:
     """``dominates`` for every agent and both sides, and ``split_dominates``
     for both sides, against the literal inequality sums on canonical forms
@@ -615,8 +764,16 @@ class TestJoinMeetRandom:
     ):
         # The lcm alignment of the golden pair has 12 slices but only a few
         # distinct pairs: each pointing kernel may see an unordered pair of
-        # members at most once, and repeating the join points on nothing.
-        expected = join_random(canonical_x, canonical_y, example_stable, Side.FIRMS, method="lcm")
+        # members at most once, and repeating the join and the meet points on
+        # nothing.  The firm-side join points with the firms' choices and the
+        # meet with the workers', so together they reach both kernels.
+        def join_and_meet(stable):
+            return tuple(
+                combine(canonical_x, canonical_y, stable, Side.FIRMS, method="lcm")
+                for combine in (join_random, meet_random)
+            )
+
+        expected = join_and_meet(example_stable)
         fresh = StableSet(example_stable.market, example_stable.matchings, example_stable.firm_table)
         pointed = {"_firm_pointing": [], "_worker_pointing": []}
         for name, seen in pointed.items():
@@ -627,14 +784,14 @@ class TestJoinMeetRandom:
 
             monkeypatch.setattr(lattice, name, counting)
 
-        assert join_random(canonical_x, canonical_y, fresh, Side.FIRMS, method="lcm") == expected
+        assert join_and_meet(fresh) == expected
         for name, seen in pointed.items():
             assert seen, f"{name} was never reached through the lattice layer"
             assert len(seen) == len(set(seen)), f"{name} pointed on a pair twice: {seen}"
 
         for seen in pointed.values():
             seen.clear()
-        assert join_random(canonical_x, canonical_y, fresh, Side.FIRMS, method="lcm") == expected
+        assert join_and_meet(fresh) == expected
         assert pointed == {"_firm_pointing": [], "_worker_pointing": []}
 
     def test_lcm_combines_each_run_once(
