@@ -43,7 +43,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, groupby, repeat
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import CapacityError, ValidationError
@@ -104,8 +105,9 @@ class Lottery:
 
     Mass is stored as positive ``counts`` of 1/``denominator``, in lowest terms
     and summing to it; ``terms`` and ``weights`` are Fraction views.  Only
-    ``Lottery(terms)`` checks: weights positive, summing to exactly one.  Terms
-    may repeat a matching; the canonical decreasing form never does.
+    ``Lottery(terms)`` checks: each term a ``(weight, Matching)`` pair, weights
+    positive, summing to exactly one.  Terms may repeat a matching; the
+    canonical decreasing form never does.
     """
 
     denominator: int
@@ -115,15 +117,17 @@ class Lottery:
     def __init__(self, terms: tuple[tuple[Fraction, Matching], ...]):
         if not terms:
             raise ValidationError("a lottery needs at least one term", code="empty-lottery")
-        shape = terms[0][1].shape
-        for weight, matching in terms:
+        for term in terms:
+            if not (isinstance(term, tuple) and len(term) == 2 and isinstance(term[1], Matching)):
+                raise ValidationError("a lottery term must be a (weight, Matching) pair", code="bad-term")
+            weight, matching = term
             if not isinstance(weight, Fraction):
                 raise ValidationError(
                     f"a weight of type {type(weight).__name__} is not an exact fraction", code="bad-weight"
                 )
             if weight <= 0 or weight > 1:
                 raise ValidationError(f"weight {_shown(weight)} outside (0, 1]", code="bad-weight")
-            if matching.shape != shape:
+            if matching.shape != terms[0][1].shape:
                 raise ValidationError("lottery mixes matchings of different markets", code="mismatched-market")
         # D is the lcm of reduced denominators, so the counts are already in lowest terms.
         denominator = math.lcm(*(w.denominator for w, _ in terms))
@@ -211,14 +215,10 @@ def _require_decreasing_pair(x: Lottery, y: Lottery, market: Market) -> None:
 
 
 def _merge_runs(counts: Iterable[int], items: Iterable) -> list[tuple[int, object]]:
-    """Aligned counts paired with their items, equal consecutive items merged."""
-    terms: list[tuple[int, object]] = []
-    for c, item in zip(counts, items):
-        if terms and terms[-1][1] == item:
-            terms[-1] = (terms[-1][0] + c, item)
-        else:
-            terms.append((c, item))
-    return terms
+    """Aligned counts paired with their items, equal consecutive items merged
+    (compared with ``==``; a run keeps its first item)."""
+    runs = groupby(zip(counts, items), itemgetter(1))
+    return [(sum(map(itemgetter(0), run)), item) for item, run in runs]
 
 
 @dataclass(frozen=True)
@@ -430,10 +430,15 @@ def split(x: Lottery, y: Lottery, market: Market) -> SplitAlignment:
     inputs are merged into one breakpoint sequence; each output term covers
     one interval between consecutive breakpoints and carries the matching
     whose input term spans it.  The output has at most
-    ``len(x) + len(y) - 1`` terms.
+    ``len(x) + len(y) - 1`` terms.  Both inputs are checked to be over
+    ``market`` and to descend (not-canonical otherwise).
     """
     _require_decreasing_pair(x, y, market)
+    return _aligned(x, y)
 
+
+def _aligned(x: Lottery, y: Lottery) -> SplitAlignment:
+    """The breakpoint merge of :func:`split`, on inputs known to descend."""
     denominator = math.lcm(x.denominator, y.denominator)
     cum_x, cum_y = (list(accumulate(c * (denominator // z.denominator) for c in z.counts)) for z in (x, y))
 
@@ -456,10 +461,19 @@ def lcm_refine(x: Lottery, y: Lottery, market: Market) -> SplitAlignment:
     unit slices: ``e`` is the split's denominator, the least common multiple
     of every weight denominator, and each slice has count 1.  Termwise joins
     or meets over this alignment agree with the ones computed over
-    :func:`split`.  More than :data:`LCM_SLICE_GUARD` slices are refused with
-    :class:`CapacityError` before any unit slice is built.
+    :func:`split`; they combine once per run of equal aligned pairs, so no
+    more often than over the split.  More than :data:`LCM_SLICE_GUARD`
+    slices are refused with :class:`CapacityError` before any unit slice is
+    built.  The inputs are checked as :func:`split` checks them; the lottery
+    functions align the output of :func:`decompose`, already checked to
+    descend, without this second check.
     """
-    alignment = split(x, y, market)
+    _require_decreasing_pair(x, y, market)
+    return _unit_slices(_aligned(x, y))
+
+
+def _unit_slices(alignment: SplitAlignment) -> SplitAlignment:
+    """``alignment`` with each slice cut into unit slices, under the slice guard."""
     slices = alignment.denominator
     if slices > LCM_SLICE_GUARD:
         raise CapacityError(
@@ -556,7 +570,8 @@ def _combine_termwise(
     worker-side meet and vice versa.
 
     Equal consecutive ``(left, right)`` pairs are merged first, so each run
-    is looked up (the membership check) and combined once.
+    of equal aligned pairs is looked up (the membership check) and combined
+    once, whether the alignment is a split or its lcm refinement.
     """
     combine = stable_set.join if take_join == (side is Side.FIRMS) else stable_set.meet
     index = stable_set.index
@@ -573,14 +588,17 @@ def _combine_termwise(
 
 
 def _refined(x: Lottery, y: Lottery, stable_set: StableSet, method: str) -> SplitAlignment:
-    """Both lotteries canonicalised and aligned by ``method``, "split" or "lcm"."""
-    market = stable_set.market
+    """Both lotteries canonicalised and aligned by ``method``, "split" or "lcm".
+
+    :func:`decompose` looks every term up in the stable set and checks that
+    its output descends, so the outputs are aligned without a second check.
+    """
     cx = decompose(x, stable_set)
     cy = decompose(y, stable_set)
     if method == "split":
-        return split(cx, cy, market)
+        return _aligned(cx, cy)
     if method == "lcm":
-        return lcm_refine(cx, cy, market)
+        return _unit_slices(_aligned(cx, cy))
     raise ValidationError(f"unknown refinement method {method!r}", code="bad-method")
 
 

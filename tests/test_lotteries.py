@@ -36,7 +36,7 @@ from matchlattice import (
 )
 from matchlattice import lattice
 from matchlattice import lotteries as lottery_module
-from matchlattice.lotteries import LCM_SLICE_GUARD, _combine_termwise
+from matchlattice.lotteries import LCM_SLICE_GUARD, _combine_termwise, _merge_runs
 from conftest import LONG_WEIGHT, alternative_representations, block_diagonal_market, random_lottery
 from oracles import decompose_oracle, dominance_sums_oracle, expectation_oracle, weak_dominance_oracle
 
@@ -119,6 +119,18 @@ class TestLotteryType:
             Lottery(((10**5000, nus[0]),))
         assert info.value.code == "bad-weight"
         assert str(info.value) == "a weight of type int is not an exact fraction"
+
+    def test_term_that_is_not_a_weight_matching_pair_refused(self, nus):
+        half = Fraction(1, 2)
+        for terms in (
+            ((Fraction(1), "x"),),
+            ((Fraction(1), nus[0], nus[1]),),
+            ((half, nus[0]), (half, "x")),
+            ((half, nus[0]), [half, nus[1]]),
+        ):
+            with pytest.raises(ValidationError) as info:
+                Lottery(terms)
+            assert info.value.code == "bad-term", terms
 
     def test_merged_aggregates_repeats(self, nus):
         raw = lottery(("1/4", nus[0]), ("1/4", nus[1]), ("1/2", nus[0]))
@@ -473,6 +485,16 @@ class TestSplit:
 
 
 class TestSplitAlignment:
+    def test_merge_runs_merges_equal_neighbours_only(self, nus):
+        a, b = nus[0], nus[3]
+        twin = Matching(a.firm_masks, a.num_workers)
+        assert twin == a and twin is not a
+        runs = _merge_runs((1, 2, 3, 4, 5), (a, twin, b, a, twin))
+        assert runs == [(3, a), (3, b), (9, a)]
+        assert runs[0][1] is a and runs[2][1] is a  # a run keeps its first item
+        assert _merge_runs((1, 1, 1), ((a, b), (twin, b), (b, b))) == [(2, (a, b)), (1, (b, b))]
+        assert _merge_runs((), ()) == []
+
     def test_gamma_is_each_count_over_the_denominator(self, nus):
         alignment = SplitAlignment(12, (2, 1, 5, 1, 3), nus[:1] * 5, nus[:1] * 5)
         assert alignment.gamma == fr("1/6 1/12 5/12 1/12 1/4")
@@ -815,6 +837,33 @@ class TestJoinMeetRandom:
                 _combine_termwise(alignment, side, take_join, example_stable)
                 assert 0 < len(calls) <= budget
 
+    def test_decomposed_inputs_are_not_checked_again(
+        self, monkeypatch, raw_x, canonical_x, canonical_y, example_stable
+    ):
+        # decompose has checked that its output descends, so the lottery
+        # functions align it without is_decreasing; split and lcm_refine
+        # still check the lotteries they are handed.
+        calls = []
+        check = lottery_module.is_decreasing
+
+        def counting(lottery, market):
+            calls.append(lottery)
+            return check(lottery, market)
+
+        monkeypatch.setattr(lottery_module, "is_decreasing", counting)
+        for x in (raw_x, canonical_x):
+            for side in Side:
+                for method in ("split", "lcm"):
+                    join_random(x, canonical_y, example_stable, side, method=method)
+                    meet_random(x, canonical_y, example_stable, side, method=method)
+                dominates(x, canonical_y, example_stable, side)
+                split_dominates(x, canonical_y, example_stable, side)
+            dominates(x, canonical_y, example_stable, AgentId(Side.FIRMS, 0))
+        assert calls == []
+        split(canonical_x, canonical_y, example_stable.market)
+        lcm_refine(canonical_x, canonical_y, example_stable.market)
+        assert calls == [canonical_x, canonical_y] * 2
+
     def test_termwise_result_that_is_not_decreasing_raises(self, example_stable, nus):
         # Only an inconsistent alignment can produce this; it is an error,
         # never silently re-decomposed.
@@ -872,6 +921,23 @@ class TestLcmRefine:
         assert join_random(x, y, example_stable, Side.FIRMS) == lottery(
             ("1/999979", nus[0]), ("999978/999979", nus[3])
         )
+
+    def test_slice_guard_edge(self, example_stable, nus):
+        # e = 10**6 is exactly the guard: the lcm join and meet answer, and
+        # agree with split.  e = 101 * 9901 = 10**6 + 1 is one slice past it.
+        x = lottery(("1/1000000", nus[0]), ("999999/1000000", nus[3]))
+        y = Lottery.degenerate(nus[1])
+        assert (x.denominator, y.denominator) == (LCM_SLICE_GUARD, 1)
+        for combine in (join_random, meet_random):
+            assert combine(x, y, example_stable, Side.FIRMS, method="lcm") == combine(
+                x, y, example_stable, Side.FIRMS
+            )
+        x = lottery(("1/101", nus[0]), ("100/101", nus[3]))
+        y = lottery(("1/9901", nus[0]), ("9900/9901", nus[3]))
+        for combine in (join_random, meet_random):
+            with pytest.raises(CapacityError) as info:
+                combine(x, y, example_stable, Side.FIRMS, method="lcm")
+            assert str(LCM_SLICE_GUARD + 1) in str(info.value)
 
     @pytest.mark.parametrize("market", ["golden", "block"])
     def test_agrees_with_split_at_large_e(self, market, example_stable):
