@@ -14,7 +14,11 @@ Every matching the search completes is screened with
 :func:`~matchlattice.matchings.find_blocking`, the package's one definition
 of stability.
 
-Join and meet are computed by pointing functions.  The firm-side join of two
+The stable set is a distributive lattice, so each member is its down-set
+over the join-irreducible members J (Birkhoff 1937), and
+:meth:`StableSet.join` and :meth:`StableSet.meet` return the member whose
+down-set is the union or the intersection of two.  The checked
+:func:`join_f` and :func:`meet_f` point instead: the firm-side join of two
 stable matchings gives every firm its choice from the union of its two
 assignments (and is simultaneously the worker-side meet); the firm-side meet
 points with the workers' choice functions.  Under substitutability plus the
@@ -25,37 +29,16 @@ greatest lower bound in the firms' common partial order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 from operator import or_
 from typing import Iterable
 
 from .errors import AxiomError, CapacityError, ValidationError
 from .matchings import Matching, _transpose, find_blocking
-from .prefs import Cmp, Market, Side, mask_subset, profile_violations
+from .prefs import Cmp, Market, Side, _compare_pointwise, mask_subset, profile_violations
 
 #: Largest market (firm count times worker count) the enumerator accepts.
 ENUMERATION_GUARD = 25
-
-
-def _compare_pointwise(prefs, masks1, masks2) -> Cmp:
-    better = worse = False
-    for pref, a, b in zip(prefs, masks1, masks2):
-        if a == b:
-            continue
-        best = pref.choice_mask(a | b)
-        if best == a:
-            better = True
-        elif best == b:
-            worse = True
-        else:
-            return Cmp.INCOMPARABLE
-        if better and worse:
-            return Cmp.INCOMPARABLE
-    if better:
-        return Cmp.GREATER
-    if worse:
-        return Cmp.LESS
-    return Cmp.EQUAL
 
 
 def compare_firms(m1: Matching, m2: Matching, market: Market) -> Cmp:
@@ -84,11 +67,6 @@ def _pointing(matchings: Iterable[Matching], market: Market, side: Side) -> Matc
     return Matching(firm_masks, market.num_workers)
 
 
-# Each side's pointing as a function of (matchings, market), for StableSet to memoise.
-_firm_pointing = partial(_pointing, side=Side.FIRMS)
-_worker_pointing = partial(_pointing, side=Side.WORKERS)
-
-
 def _stable_family(matchings: Iterable[Matching], market: Market, operation: str) -> list[Matching]:
     group = list(matchings)
     if not group:
@@ -108,13 +86,13 @@ def multi_join_f(matchings: Iterable[Matching], market: Market) -> Matching:
     Every member is checked for stability first; the lottery algebra, whose
     inputs are already stable-set members, uses :meth:`StableSet.join`.
     """
-    return _firm_pointing(_stable_family(matchings, market, "join"), market)
+    return _pointing(_stable_family(matchings, market, "join"), market, Side.FIRMS)
 
 
 def multi_meet_f(matchings: Iterable[Matching], market: Market) -> Matching:
     """Firm-side greatest lower bound of a family, computed with the
     workers' choices.  Coincides with the worker-side join."""
-    return _worker_pointing(_stable_family(matchings, market, "meet"), market)
+    return _pointing(_stable_family(matchings, market, "meet"), market, Side.WORKERS)
 
 
 def join_f(m1: Matching, m2: Matching, market: Market) -> Matching:
@@ -127,6 +105,17 @@ def meet_f(m1: Matching, m2: Matching, market: Market) -> Matching:
     return multi_meet_f((m1, m2), market)
 
 
+def _held(position_of: dict[int, int], mask: int) -> int:
+    """Position of the member whose down-set over J is ``mask``, refused
+    (not-in-stable-set) when the stable set holds none."""
+    try:
+        return position_of[mask]
+    except KeyError:
+        raise ValidationError(
+            "the lattice needs a matching the stable set does not hold", code="not-in-stable-set"
+        ) from None
+
+
 @dataclass(frozen=True)
 class StableSet:
     """All stable matchings of a market, with the firms' order materialised.
@@ -135,17 +124,16 @@ class StableSet:
     deterministic.  ``firm_table[i][j]`` compares matching ``i`` against
     matching ``j`` in the firms' common partial order; it is built once here
     for :func:`hasse_edges` and for the decreasing-form check of
-    lottery joins and meets.  Each pair's join and meet is pointed on once,
-    when first asked for, and kept; so are the down-sets of
-    :meth:`_down_sets`.
+    lottery joins and meets.  The members' down-sets over J
+    (:meth:`_down_sets`) are built from it when first needed and kept; every
+    join and meet is read off them, so a set that is not the down-set lattice
+    of its J refuses them all (not-in-stable-set).
     """
 
     market: Market
     matchings: tuple[Matching, ...]
     firm_table: tuple[tuple[Cmp, ...], ...]
     _positions: dict = field(init=False, compare=False, repr=False)
-    _joins: dict = field(init=False, compare=False, repr=False, default_factory=dict)
-    _meets: dict = field(init=False, compare=False, repr=False, default_factory=dict)
     _profile: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -178,18 +166,16 @@ class StableSet:
         return self.firm_table[i][j]
 
     def join(self, i: int, j: int) -> int:
-        """Position of the firm-side join (the workers' meet) of members i and j."""
-        return self._combine(self._joins, _firm_pointing, i, j)
+        """Position of the firm-side join (the workers' meet) of members i and
+        j: the member whose down-set is the union of theirs."""
+        masks, position_of = self._down_sets()
+        return _held(position_of, masks[i] | masks[j])
 
     def meet(self, i: int, j: int) -> int:
-        """Position of the firm-side meet (the workers' join) of members i and j."""
-        return self._combine(self._meets, _worker_pointing, i, j)
-
-    def _combine(self, memo: dict, point, i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        if key not in memo:
-            memo[key] = self.index(point((self.matchings[i], self.matchings[j]), self.market))
-        return memo[key]
+        """Position of the firm-side meet (the workers' join) of members i and
+        j: the member whose down-set is the intersection of theirs."""
+        masks, position_of = self._down_sets()
+        return _held(position_of, masks[i] & masks[j])
 
     def _down_sets(self) -> tuple[tuple[int, ...], dict[int, int]]:
         """Each member's down-set over the join-irreducibles as a bitmask, by

@@ -48,9 +48,9 @@ from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import CapacityError, ValidationError
-from .lattice import StableSet, _compare_pointwise, compare_firms
+from .lattice import StableSet, _held, compare_firms
 from .matchings import Matching, RationalMatrix
-from .prefs import AgentId, Cmp, Market, Side, mask_subset
+from .prefs import AgentId, Cmp, Market, Side, _compare_pointwise, mask_subset
 
 #: :func:`lcm_refine` refuses to build more slices than this.
 LCM_SLICE_GUARD = 10**6
@@ -373,12 +373,7 @@ def decompose(lottery: Lottery, stable_set: StableSet) -> Lottery:
         previous = level
     if previous < lottery.denominator:
         runs.append((lottery.denominator - previous, 0))  # the bottom's down-set is empty
-    try:
-        runs = [(c, position_of[mask]) for c, mask in runs]
-    except KeyError:
-        raise ValidationError(
-            "the decreasing form needs a matching the stable set does not hold", code="not-in-stable-set"
-        ) from None
+    runs = [(c, _held(position_of, mask)) for c, mask in runs]
     if not _descends(stable_set, [k for _, k in runs]):
         raise ValidationError("the profile sweep is not in decreasing form", code="not-canonical")
     return Lottery._counted(lottery.denominator, ((c, stable_set[k]) for c, k in runs))
@@ -509,18 +504,23 @@ def _require_side(who: object, agent_allowed: bool = False) -> None:
     raise ValidationError(f"expected {wanted}, got a {type(who).__name__}", code="bad-side")
 
 
-def _favours(alignment: SplitAlignment, market: Market, who: Union[Side, AgentId], flipped: bool) -> bool:
-    """True iff every aligned pair weakly favours its left matching (its
-    right one when ``flipped``) for ``who``: each agent on a side, or one
-    agent, taken as a side of one."""
+def _aligned_cmp(alignment: SplitAlignment, market: Market, who: Union[Side, AgentId]) -> Cmp:
+    """The order kernel folded once over every (aligned slice, agent) pair:
+    how the left matchings stand to the right ones for ``who``, each agent
+    on a side or one agent, taken as a side of one."""
     if isinstance(who, AgentId):
         prefs, side, agents = (market.pref(who),), who.side, slice(who.index, who.index + 1)
     else:
         prefs, side, agents = market.prefs(who), who, slice(None)
-    pairs = zip(alignment.right, alignment.left) if flipped else zip(alignment.left, alignment.right)
-    return all(
-        _compare_pointwise(prefs, a.masks(side)[agents], b.masks(side)[agents]).at_least for a, b in pairs
+    left, right = (
+        chain.from_iterable(m.masks(side)[agents] for m in ms) for ms in (alignment.left, alignment.right)
     )
+    return _compare_pointwise(prefs * len(alignment), left, right)
+
+
+#: Each outcome of the folded kernel as a dominance verdict.
+_VERDICT = {Cmp.GREATER: Dominance.STRONGLY_DOMINATES, Cmp.EQUAL: Dominance.EQUAL,
+            Cmp.LESS: Dominance.STRONGLY_DOMINATED, Cmp.INCOMPARABLE: Dominance.INCOMPARABLE}
 
 
 def dominates(x: Lottery, y: Lottery, stable_set: StableSet, who: Union[Side, AgentId]) -> Dominance:
@@ -531,10 +531,12 @@ def dominates(x: Lottery, y: Lottery, stable_set: StableSet, who: Union[Side, Ag
     assignment v of ``y``'s decreasing representation, ``x`` puts at least as
     much mass as ``y`` on the assignments the agent weakly prefers to v.
 
-    Both lotteries are canonicalised and split, and this is decided termwise:
-    ``x`` weakly dominates iff every aligned pair weakly favours its ``x``
-    matching.  The two agree.  If every pair passes, each unit of ``y``'s mass
-    at or above v is matched by ``x``'s mass on the same slice.  Along a
+    Both lotteries are canonicalised and split, and one pass of the order
+    kernel over every (aligned slice, agent) pair decides it: ``x`` weakly
+    dominates iff every pair weakly favours its ``x`` matching, so the
+    kernel's four outcomes are the four verdicts.  This agrees with the
+    definition.  If every pair passes, each unit of ``y``'s mass at or
+    above v is matched by ``x``'s mass on the same slice.  Along a
     decreasing representation each agent's assignments form a chain in its
     order (a partial order under substitutability), descending for firms and
     ascending for workers.  So if slice k fails for a firm at v, ``y``'s
@@ -543,16 +545,7 @@ def dominates(x: Lottery, y: Lottery, stable_set: StableSet, who: Union[Side, Ag
     (for a worker, read the slices from the other end).
     """
     _require_side(who, agent_allowed=True)
-    alignment = _refined(x, y, stable_set, "split")
-    forward = _favours(alignment, stable_set.market, who, flipped=False)
-    backward = _favours(alignment, stable_set.market, who, flipped=True)
-    if forward and backward:
-        return Dominance.EQUAL
-    if forward:
-        return Dominance.STRONGLY_DOMINATES
-    if backward:
-        return Dominance.STRONGLY_DOMINATED
-    return Dominance.INCOMPARABLE
+    return _VERDICT[_aligned_cmp(_refined(x, y, stable_set, "split"), stable_set.market, who)]
 
 
 def split_dominates(x: Lottery, y: Lottery, stable_set: StableSet, side: Side) -> bool:
@@ -560,7 +553,7 @@ def split_dominates(x: Lottery, y: Lottery, stable_set: StableSet, side: Side) -
     of the split of their decreasing representations weakly favours ``x``
     (the forward half of :func:`dominates`)."""
     _require_side(side)
-    return _favours(_refined(x, y, stable_set, "split"), stable_set.market, side, flipped=False)
+    return _aligned_cmp(_refined(x, y, stable_set, "split"), stable_set.market, side).at_least
 
 
 def _combine_termwise(

@@ -81,6 +81,30 @@ class Cmp(Enum):
         return self
 
 
+def _compare_pointwise(prefs, masks1, masks2) -> Cmp:
+    """How ``masks1`` stands to ``masks2`` when each of ``prefs`` votes on its
+    pair, a subset weakly beating another iff it is chosen from their union:
+    greater when every vote is at least and one is better."""
+    better = worse = False
+    for pref, a, b in zip(prefs, masks1, masks2):
+        if a == b:
+            continue
+        best = pref.choice_mask(a | b)
+        if best == a:
+            better = True
+        elif best == b:
+            worse = True
+        else:
+            return Cmp.INCOMPARABLE
+        if better and worse:
+            return Cmp.INCOMPARABLE
+    if better:
+        return Cmp.GREATER
+    if worse:
+        return Cmp.LESS
+    return Cmp.EQUAL
+
+
 def subset_mask(subset: Iterable[int], size: int) -> int:
     """Encode a collection of opposite-side indices as a bitmask."""
     mask = 0
@@ -139,15 +163,8 @@ class Preference:
 
     def compare_masks(self, first: int, second: int) -> Cmp:
         """Compare two subsets: a set weakly beats another iff it is chosen
-        from their union."""
-        if first == second:
-            return Cmp.EQUAL
-        best = self.choice_mask(first | second)
-        if best == first:
-            return Cmp.GREATER
-        if best == second:
-            return Cmp.LESS
-        return Cmp.INCOMPARABLE
+        from their union (the one-agent case of the order kernel)."""
+        return _compare_pointwise((self,), (first,), (second,))
 
     def compare(self, first: Iterable[int], second: Iterable[int]) -> Cmp:
         n = self.n_opposite

@@ -389,19 +389,24 @@ class TestJoinMeet:
             assert worker_meet == [join_f(a, b, example_market)]
             assert worker_join == [meet_f(a, b, example_market)]
 
-    def test_stable_set_join_and_meet_by_position(self, example_market, example_stable):
-        # The positional join/meet against the stability-checked path, on
-        # every ordered pair of the golden set.
-        positions = range(len(example_stable))
-        for i, j in itertools.product(positions, repeat=2):
-            a, b = example_stable[i], example_stable[j]
-            assert example_stable[example_stable.join(i, j)] == join_f(a, b, example_market)
-            assert example_stable[example_stable.meet(i, j)] == meet_f(a, b, example_market)
-            assert example_stable.join(i, j) == example_stable.join(j, i)
-            assert example_stable.meet(i, j) == example_stable.meet(j, i)
-        for i in positions:
-            assert example_stable.join(i, i) == i
-            assert example_stable.meet(i, i) == i
+    def test_stable_set_join_and_meet_by_position(self, monkeypatch, example_stable, corpus):
+        # The join and meet read off the down-set index against the
+        # stability-checked pointing path, on every ordered pair of the
+        # golden set, the corpus lattices and three block lattices.
+        monkeypatch.setattr(lattice, "ENUMERATION_GUARD", 144)
+        blocks = [enumerate_stable(block_diagonal_market(sizes)) for sizes in ((3, 2), (2, 2, 2), (4, 4, 4))]
+        assert [len(stable) for stable in blocks] == [6, 8, 64]
+        for stable in [example_stable, *(case.stable for case in corpus), *blocks]:
+            market, positions = stable.market, range(len(stable))
+            for i, j in itertools.product(positions, repeat=2):
+                a, b = stable[i], stable[j]
+                assert stable[stable.join(i, j)] == join_f(a, b, market)
+                assert stable[stable.meet(i, j)] == meet_f(a, b, market)
+                assert stable.join(i, j) == stable.join(j, i)
+                assert stable.meet(i, j) == stable.meet(j, i)
+            for i in positions:
+                assert stable.join(i, i) == i
+                assert stable.meet(i, i) == i
 
     def test_join_is_least_upper_bound_by_exhaustive_scan(self, example_market, example_stable):
         for a, b in itertools.product(example_stable, repeat=2):

@@ -404,6 +404,12 @@ class TestDecomposeSweep:
         assert info.value.code == "not-in-stable-set"
         middles = lottery(("1/2", stable[b]), ("1/2", stable[c]))
         assert answer(decompose, middles, diamond) == "not-in-stable-set"
+        # Joins and meets are read off the same index, so every one refuses.
+        for i, j in itertools.product(range(len(diamond)), repeat=2):
+            for combine in (diamond.join, diamond.meet):
+                with pytest.raises(ValidationError) as info:
+                    combine(i, j)
+                assert info.value.code == "not-in-stable-set"
 
     @pytest.mark.parametrize("build", [None, (3, 2), (2, 2)], ids=["golden", "block-3+2", "block-2+2"])
     def test_sub_stable_sets_refuse_or_agree_with_the_peel(self, request, build):
@@ -762,8 +768,9 @@ class TestJoinMeetRandom:
     def test_partial_stable_set_fails_only_where_a_missing_join_is_needed(
         self, example_market, nus
     ):
-        # Joins and meets are found when first needed, so a partial set
-        # still serves every operation that stays inside it.
+        # Two incomparable members with no join or meet are not a down-set
+        # lattice, so every join and meet refuses; decomposing and comparing
+        # lotteries that already descend needs neither, and still answers.
         partial = middles_only(example_market, nus)
         x, y = Lottery.degenerate(nus[1]), Lottery.degenerate(nus[2])
         assert decompose(x, partial) == x
@@ -781,40 +788,46 @@ class TestJoinMeetRandom:
                 needs_missing_member()
             assert info.value.code == "not-in-stable-set"
 
-    def test_lcm_join_points_each_pair_once(
-        self, monkeypatch, canonical_x, canonical_y, example_stable
-    ):
-        # The lcm alignment of the golden pair has 12 slices but only a few
-        # distinct pairs: each pointing kernel may see an unordered pair of
-        # members at most once, and repeating the join and the meet points on
-        # nothing.  The firm-side join points with the firms' choices and the
-        # meet with the workers', so together they reach both kernels.
-        def join_and_meet(stable):
-            return tuple(
-                combine(canonical_x, canonical_y, stable, Side.FIRMS, method="lcm")
-                for combine in (join_random, meet_random)
-            )
+    @pytest.mark.parametrize("build", [None, (3, 2)], ids=["golden", "block-3+2"])
+    def test_the_lottery_layer_never_points(self, request, monkeypatch, build):
+        # Member joins and meets are read off the down-set index, so no
+        # lottery operation reaches the pointing kernel of join_f and meet_f.
+        if build is None:
+            stable = request.getfixturevalue("example_stable")
+            inputs = [request.getfixturevalue(name) for name in ("raw_x", "canonical_x", "canonical_y")]
+        else:
+            stable = enumerate_stable(block_diagonal_market(build))
+            rng = random.Random(41)
+            inputs = [random_lottery(rng, stable) for _ in range(3)]
+        agents = (AgentId(Side.FIRMS, 1), AgentId(Side.WORKERS, 2))
 
-        expected = join_and_meet(example_stable)
-        fresh = StableSet(example_stable.market, example_stable.matchings, example_stable.firm_table)
-        pointed = {"_firm_pointing": [], "_worker_pointing": []}
-        for name, seen in pointed.items():
-            def counting(matchings, market, kernel=getattr(lattice, name), seen=seen):
-                matchings = tuple(matchings)
-                seen.append(frozenset(map(fresh.index, matchings)))
-                return kernel(matchings, market)
+        def outputs(stable):
+            found = []
+            for x in inputs:
+                run = decompose_run(x, stable)
+                found += [run.result, len(run.steps)]
+                for y in inputs:
+                    found += [dominates(x, y, stable, who) for who in (*Side, *agents)]
+                    for side in Side:
+                        found.append(split_dominates(x, y, stable, side))
+                        for method in ("split", "lcm"):
+                            found.append(join_random(x, y, stable, side, method=method))
+                            found.append(meet_random(x, y, stable, side, method=method))
+            return found
 
-            monkeypatch.setattr(lattice, name, counting)
+        expected = outputs(stable)
 
-        assert join_and_meet(fresh) == expected
-        for name, seen in pointed.items():
-            assert seen, f"{name} was never reached through the lattice layer"
-            assert len(seen) == len(set(seen)), f"{name} pointed on a pair twice: {seen}"
+        class Pointed(Exception):
+            pass
 
-        for seen in pointed.values():
-            seen.clear()
-        assert join_and_meet(fresh) == expected
-        assert pointed == {"_firm_pointing": [], "_worker_pointing": []}
+        def refuse(*args):
+            raise Pointed
+
+        monkeypatch.setattr(lattice, "_pointing", refuse)
+        with pytest.raises(Pointed):  # the checked path does reach the patched kernel
+            lattice.join_f(stable[0], stable[0], stable.market)
+        fresh = StableSet(stable.market, stable.matchings, stable.firm_table)
+        assert outputs(fresh) == expected
 
     def test_lcm_combines_each_run_once(
         self, monkeypatch, canonical_x, canonical_y, example_stable, example_market
