@@ -1,18 +1,14 @@
 """The stable set and its deterministic lattice structure.
 
-Enumeration is bracketed by the two extremal stable matchings.  Deferred
-acceptance, run once with the firms proposing and once with the workers
-proposing, gives the firm-optimal and the worker-optimal stable matching.
-Every stable matching lies between the two in the firms' order, and by the
-rural hospital property gives each firm as many partners as the
-firm-optimal one, so each firm row ranges only over the individually
-rational subsets inside that bracket.  A backtracking search then places the
-firms one at a time from their bracketed rows.  The same property fixes
-every worker's partner count, so a branch is cut as soon as a worker cannot
-end with that count, or ends with it in a way no stable matching allows.
-Every matching the search completes is screened with
-:func:`~matchlattice.matchings.find_blocking`, the package's one definition
-of stability.
+Enumeration walks the lattice down from its top.  Deferred acceptance, run
+once with the firms proposing and once with the workers proposing, gives
+the firm-optimal and the worker-optimal stable matching, the top and the
+bottom of the firms' order.  From each member the walk breaks, one at a
+time, each pair that the bottom lacks: the firm loses the worker, and
+deferred acceptance restarts from the member until the worker's choice
+drops the firm (:func:`_walk`).  Every matching the walk reaches is
+screened with :func:`~matchlattice.matchings.find_blocking`, the package's
+one definition of stability.
 
 The stable set is a distributive lattice, so each member is its down-set
 over the join-irreducible members J (Birkhoff 1937), and
@@ -31,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .errors import AxiomError, CapacityError, ValidationError
 from .matchings import Matching, _transpose, find_blocking
@@ -212,97 +208,97 @@ def _deferred_acceptance(proposers, receivers) -> tuple[int, ...]:
         available = [mask & ~lost for mask, lost in zip(available, _transpose(refused, len(proposers)))]
 
 
-def _bracketed_rows(pref, n_opposite: int, top: int, bottom: int) -> list[int]:
-    """Individually rational rows of one firm that could sit in a stable
-    matching: as large as its firm-optimal row ``top``, no better than
-    ``top`` and no worse than its worker-optimal row ``bottom``."""
-    size = top.bit_count()
-    return [
-        mask
-        for mask in range(1 << n_opposite)
-        if mask.bit_count() == size
-        and pref.choice_mask(mask) == mask
-        and pref.choice_mask(top | mask) == top
-        and pref.choice_mask(mask | bottom) == mask
-    ]
+def _screened(firm_masks: tuple[int, ...], market: Market) -> Matching:
+    """A member the walk reached, refused (not-stable) if blocked: never left out."""
+    matching = Matching(firm_masks, market.num_workers)
+    witness = find_blocking(matching, market)
+    if witness is not None:
+        raise ValidationError(f"walk reached an unstable matching (blocked by {witness})", code="not-stable")
+    return matching
 
 
-def _search(market: Market, rows_per_firm: list[list[int]], need: list[int]) -> list[Matching]:
-    """Stable matchings among the bracketed rows, placing firms in order.
-
-    ``need[j]`` is worker ``j``'s partner count, the same in every stable
-    matching.  A branch is cut when a worker goes over its count, can no
-    longer reach it from the firms still to be placed, or has reached it and
-    either rejects part of its assignment or forms a blocking pair with a
-    firm already placed.  Each cut drops only unstable matchings, and every
-    completed matching is still screened by :func:`find_blocking`.
-    """
-    nf, nw = market.shape
+def _break(market: Market, mu: Matching, willing: list[int], f: int, w: int) -> Optional[tuple[int, ...]]:
+    """Firm rows of the greatest stable matching below ``mu`` without (f, w),
+    or ``None``: deferred acceptance restarted from ``mu`` one event at a
+    time.  f loses w, and w keeps f as a phantom.  A firm whose available set
+    shrank re-chooses and offers to the workers it added; each chooses from
+    what it holds plus the offer, and every firm it drops loses it and
+    re-chooses.  Firm g offers only to ``willing[g]``, the workers that would
+    keep g beside their ``mu``-partners.  The break succeeds if w ever
+    chooses without f."""
     firm_prefs, worker_prefs = market.firm_prefs, market.worker_prefs
-    unions = [reduce(or_, rows, 0) for rows in rows_per_firm]
-    # reach[k][j]: how many of the firms k, k+1, ... have a row holding worker j
-    reach = [[0] * nw]
-    for union in reversed(unions):
-        reach.append([r + (union >> j & 1) for j, r in enumerate(reach[-1])])
-    reach.reverse()
-    options = [
-        [(row, mask_subset(row), mask_subset(union & ~row)) for row in rows]
-        for rows, union in zip(rows_per_firm, unions)
-    ]
-    rows = [0] * nf
-    held = [0] * nw  # firms placed so far that hold each worker
-    found = []
+    available, offers, held = list(willing), list(mu.firm_masks), list(mu.worker_masks)
+    available[f] ^= 1 << w
+    offers[f] ^= 1 << w
+    broken, pending = False, [f]
+    while pending:
+        g = pending.pop()
+        chosen = firm_prefs[g].choice_mask(available[g])
+        added, offers[g] = chosen & ~offers[g], chosen
+        while added:
+            bit = added & -added
+            added ^= bit
+            x = bit.bit_length() - 1
+            pool = held[x] | 1 << g
+            held[x] = worker_prefs[x].choice_mask(pool)
+            dropped = pool & ~held[x]
+            while dropped:
+                gone = dropped & -dropped
+                dropped ^= gone
+                h = gone.bit_length() - 1
+                if x == w and h == f:
+                    broken = True  # the phantom: f already lost w
+                    continue
+                available[h] &= ~bit
+                offers[h] &= ~bit
+                pending.append(h)
+    return tuple(offers) if broken else None
 
-    def blocks(i: int, j: int) -> bool:
-        return bool(
-            firm_prefs[i].choice_mask(rows[i] | 1 << j) >> j & 1
-            and worker_prefs[j].choice_mask(held[j] | 1 << i) >> i & 1
-        )
 
-    def settled(j: int, placed: int) -> bool:
-        """Worker j, at its count, keeps its whole assignment and blocks
-        with none of the first ``placed`` firms."""
-        return worker_prefs[j].choice_mask(held[j]) == held[j] and not any(
-            blocks(i, j) for i in range(placed) if not rows[i] >> j & 1
-        )
+def _walk(market: Market, top: tuple[int, ...], bottom: tuple[int, ...]) -> list[Matching]:
+    """Every stable matching, breadth-first down from the firm rows ``top``
+    of the firm-optimal one, breaking at each member mu every pair that the
+    worker-optimal ``bottom`` lacks (:func:`_break`, the many-to-many form
+    of Gusfield and Irving's breakmarriage, 1989).  It relies on three facts:
 
-    def place(k: int, full: int) -> None:
-        if k == nf:
-            matching = Matching(tuple(rows), nw)
-            if find_blocking(matching, market) is None:
-                found.append(matching)
-            return
-        later, bit, finished = reach[k + 1], 1 << k, mask_subset(full)
-        for row, taken, passed in options[k]:
-            if row & full:
-                continue
-            rows[k] = row
-            for j in taken:
-                held[j] |= bit
-            fresh = [j for j in taken if held[j].bit_count() == need[j]]
-            if (
-                all(held[j].bit_count() + later[j] >= need[j] for j in passed)
-                and not any(blocks(k, j) for j in finished)
-                and all(settled(j, k + 1) for j in fresh)
-            ):
-                place(k + 1, full | sum(1 << j for j in fresh))
-            for j in taken:
-                held[j] ^= bit
-
-    place(0, sum(1 << j for j in range(nw) if need[j] == 0))
-    del place  # it refers to itself through its closure: a cycle holding the market
-    return found
+    * the pairs mu shares with ``bottom`` lie in every member between them:
+      if (f, w) is in mu and in ``bottom`` and mu >= nu >= ``bottom``, then f
+      chooses w from nu(f) | {w} and w chooses f from nu(w) | {f}, so
+      (f, w) would block nu unless nu holds it;
+    * every lower cover of mu therefore lacks some other pair of mu;
+    * the break lemma: breaking (f, w) gives the greatest stable matching
+      below mu without it, which is any lower cover that lacks (f, w).  This
+      is the rotation structure of substitutable, consistent, cardinally
+      monotone choice (Faenza and Zhang 2022); the tests check it against
+      two independent enumerations rather than prove it here.
+    """
+    worker_prefs = market.worker_prefs
+    members, seen = [_screened(top, market)], {top}
+    for mu in members:  # grows as the walk goes: breadth-first
+        cols = mu.worker_masks
+        willing = [
+            sum(1 << x for x, pref in enumerate(worker_prefs) if pref.choice_mask(cols[x] | 1 << g) >> g & 1)
+            for g in range(market.num_firms)
+        ]
+        for f, row in enumerate(mu.firm_masks):
+            pairs = row & ~bottom[f]
+            while pairs:
+                bit = pairs & -pairs
+                pairs ^= bit
+                rows = _break(market, mu, willing, f, bit.bit_length() - 1)
+                if rows is not None and rows not in seen:
+                    seen.add(rows)
+                    members.append(_screened(rows, market))
+    return members
 
 
 def enumerate_stable(market: Market) -> StableSet:
-    """Enumerate the full stable set between its two extremal matchings.
+    """Enumerate the full stable set by walking down from its top.
 
     Every preference must pass both axiom checks first; a violation is
     reported with its witness, since without the axioms the lattice
     operations downstream are meaningless.  Deferred acceptance from each
-    side then brackets every firm's possible rows and fixes every worker's
-    partner count, and a backtracking search over the bracketed rows keeps
-    the stable combinations.
+    side then gives the top and the bottom, and :func:`_walk` the members.
     """
     cells = market.num_firms * market.num_workers
     if cells > ENUMERATION_GUARD:
@@ -317,15 +313,9 @@ def enumerate_stable(market: Market) -> StableSet:
             f"{agent} violates {axiom}: witness {witness}", agent=agent, witness=witness
         )
 
-    nf, nw = market.shape
-    top = Matching(_deferred_acceptance(market.firm_prefs, market.worker_prefs), nw)
-    bottom = _transpose(_deferred_acceptance(market.worker_prefs, market.firm_prefs), nf)
-    rows_per_firm = [
-        _bracketed_rows(pref, nw, high, low)
-        for pref, high, low in zip(market.firm_prefs, top.firm_masks, bottom)
-    ]
-    need = [mask.bit_count() for mask in top.worker_masks]
-    found = _search(market, rows_per_firm, need)
+    top = _deferred_acceptance(market.firm_prefs, market.worker_prefs)
+    bottom = _transpose(_deferred_acceptance(market.worker_prefs, market.firm_prefs), market.num_firms)
+    found = _walk(market, top, bottom)
     found.sort(key=lambda m: m.firm_masks)
     # One comparison per unordered pair; the mirror cell is its flip.
     table = [[Cmp.EQUAL] * len(found) for _ in found]

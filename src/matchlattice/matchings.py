@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .errors import ValidationError
-from .prefs import AgentId, Market, Side, mask_subset
+from .prefs import AgentId, Market, Side, _agent_entry, mask_subset
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -92,7 +92,7 @@ class Matching:
         return mask_subset(self.assigned_mask(agent))
 
     def assigned_mask(self, agent: AgentId) -> int:
-        return self.masks(agent.side)[agent.index]
+        return _agent_entry(agent, self.masks(agent.side))
 
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(

@@ -59,6 +59,15 @@ class AgentId:
         return f"{prefix}{self.index + 1}"
 
 
+def _agent_entry(agent: AgentId, entries: tuple):
+    """The entry at ``agent``'s index, refused (unknown-agent) unless the
+    index is an ``int``, not a ``bool``, in range: -1 is no agent."""
+    index = agent.index
+    if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < len(entries):
+        raise ValidationError(f"no such agent: index {index!r} on side {agent.side}", code="unknown-agent")
+    return entries[index]
+
+
 class Cmp(Enum):
     """How one subset, or one matching, relates to another in an order:
     one agent's preference, or one side's common partial order."""
@@ -339,10 +348,7 @@ class Market:
         return self.firm_prefs if side is Side.FIRMS else self.worker_prefs
 
     def pref(self, agent: AgentId) -> Preference:
-        prefs = self.prefs(agent.side)
-        if not 0 <= agent.index < len(prefs):
-            raise ValidationError(f"no such agent {agent}", code="unknown-agent")
-        return prefs[agent.index]
+        return _agent_entry(agent, self.prefs(agent.side))
 
     def agents(self) -> Iterable[AgentId]:
         for side in Side:

@@ -1,11 +1,15 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is written in a deliberately naive, frozenset-based style
+Most of this is written in a deliberately naive, frozenset-based style
 with no shared code paths into the package internals (which work on
 bitmasks): rank lists are scanned literally, stability enumerates every
 agent and every pair, and the stable set is recomputed either from all
 2^(F*W) edge subsets or from the product of every firm's individually
-rational rows (a market of disjoint blocks block by block).  The firms'
+rational rows (a market of disjoint blocks block by block).  A second
+reference for the stable set is the bitmask search the package once
+enumerated with: ``_bracketed_rows`` keeps the rows of each firm between
+the two deferred-acceptance matchings, and ``_search`` places the firms
+one at a time from them, screening with ``find_blocking``.  The firms'
 covering pairs are read off every triple of the order.  The two preference
 axioms are searched over every pair of an offer and a sub-offer.  The
 decreasing decomposition follows the paper's literal rescaling recurrence on
@@ -16,9 +20,12 @@ inequalities.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations, product
+from operator import or_
 
-from matchlattice import Cmp, Market, Matching, RankedPreference, ResponsivePreference
+from matchlattice import Cmp, Market, Matching, RankedPreference, ResponsivePreference, find_blocking
+from matchlattice.prefs import mask_subset
 
 
 def powerset(items):
@@ -142,6 +149,88 @@ def enumerate_product_oracle(market: Market) -> list[Matching]:
         if stable_oracle(candidate, market)
     ]
     return sorted(found, key=lambda m: m.firm_masks)
+
+
+def _bracketed_rows(pref, n_opposite: int, top: int, bottom: int) -> list[int]:
+    """Individually rational rows of one firm that could sit in a stable
+    matching: as large as its firm-optimal row ``top``, no better than
+    ``top`` and no worse than its worker-optimal row ``bottom``."""
+    size = top.bit_count()
+    return [
+        mask
+        for mask in range(1 << n_opposite)
+        if mask.bit_count() == size
+        and pref.choice_mask(mask) == mask
+        and pref.choice_mask(top | mask) == top
+        and pref.choice_mask(mask | bottom) == mask
+    ]
+
+
+def _search(market: Market, rows_per_firm: list[list[int]], need: list[int]) -> list[Matching]:
+    """Stable matchings among the bracketed rows, placing firms in order.
+
+    ``need[j]`` is worker ``j``'s partner count, the same in every stable
+    matching.  A branch is cut when a worker goes over its count, can no
+    longer reach it from the firms still to be placed, or has reached it and
+    either rejects part of its assignment or forms a blocking pair with a
+    firm already placed.  Each cut drops only unstable matchings, and every
+    completed matching is still screened by :func:`find_blocking`.
+    """
+    nf, nw = market.shape
+    firm_prefs, worker_prefs = market.firm_prefs, market.worker_prefs
+    unions = [reduce(or_, rows, 0) for rows in rows_per_firm]
+    # reach[k][j]: how many of the firms k, k+1, ... have a row holding worker j
+    reach = [[0] * nw]
+    for union in reversed(unions):
+        reach.append([r + (union >> j & 1) for j, r in enumerate(reach[-1])])
+    reach.reverse()
+    options = [
+        [(row, mask_subset(row), mask_subset(union & ~row)) for row in rows]
+        for rows, union in zip(rows_per_firm, unions)
+    ]
+    rows = [0] * nf
+    held = [0] * nw  # firms placed so far that hold each worker
+    found = []
+
+    def blocks(i: int, j: int) -> bool:
+        return bool(
+            firm_prefs[i].choice_mask(rows[i] | 1 << j) >> j & 1
+            and worker_prefs[j].choice_mask(held[j] | 1 << i) >> i & 1
+        )
+
+    def settled(j: int, placed: int) -> bool:
+        """Worker j, at its count, keeps its whole assignment and blocks
+        with none of the first ``placed`` firms."""
+        return worker_prefs[j].choice_mask(held[j]) == held[j] and not any(
+            blocks(i, j) for i in range(placed) if not rows[i] >> j & 1
+        )
+
+    def place(k: int, full: int) -> None:
+        if k == nf:
+            matching = Matching(tuple(rows), nw)
+            if find_blocking(matching, market) is None:
+                found.append(matching)
+            return
+        later, bit, finished = reach[k + 1], 1 << k, mask_subset(full)
+        for row, taken, passed in options[k]:
+            if row & full:
+                continue
+            rows[k] = row
+            for j in taken:
+                held[j] |= bit
+            fresh = [j for j in taken if held[j].bit_count() == need[j]]
+            if (
+                all(held[j].bit_count() + later[j] >= need[j] for j in passed)
+                and not any(blocks(k, j) for j in finished)
+                and all(settled(j, k + 1) for j in fresh)
+            ):
+                place(k + 1, full | sum(1 << j for j in fresh))
+            for j in taken:
+                held[j] ^= bit
+
+    place(0, sum(1 << j for j in range(nw) if need[j] == 0))
+    del place  # it refers to itself through its closure: a cycle holding the market
+    return found
 
 
 def block_product_oracle(blocks) -> list[Matching]:

@@ -3,6 +3,7 @@ join/meet operations."""
 
 import gc
 import itertools
+import math
 import random
 import time
 
@@ -24,18 +25,22 @@ from matchlattice import (
     compare_workers,
     enumerate_stable,
     find_blocking,
+    generate_responsive_market,
     hasse_edges,
     join_f,
     meet_f,
     multi_join_f,
     multi_meet_f,
+    profile_violations,
     rht_check,
     to_dot,
 )
-from matchlattice import lattice
-from matchlattice.lattice import _bracketed_rows, _deferred_acceptance
+from matchlattice import lattice, prefs
+from matchlattice.lattice import _deferred_acceptance
 from conftest import block_diagonal_market, build_example_market, one_firm_market
 from oracles import (
+    _bracketed_rows,
+    _search,
     block_product_oracle,
     choice_oracle,
     enumerate_oracle,
@@ -44,6 +49,7 @@ from oracles import (
     firm_table_oracle,
     hasse_oracle,
     powerset,
+    responsive_to_ranked,
     stable_oracle,
     worker_at_least_oracle,
 )
@@ -273,8 +279,9 @@ class TestSearch:
         assert len(edges) == 4 * 3 * 4 ** 3
 
     def test_enumeration_leaves_no_cyclic_garbage(self):
-        # The search's nested recursion must not leave a cycle that keeps the
-        # market alive until the cyclic collector runs.
+        # Enumeration must not leave a cycle that keeps the market alive
+        # until the cyclic collector runs, as the nested recursion of the
+        # search it replaced once did.
         market = build_example_market()
         gc.collect()
         gc.disable()
@@ -289,6 +296,163 @@ class TestSearch:
         # the axiom budget even though a responsive firm is never searched.
         with pytest.raises(CapacityError):
             enumerate_stable(one_firm_market(17))
+
+
+def mixed_preference(rng, owner, n, start):
+    """A cyclic priority from ``start``, sometimes with one adjacent swap,
+    and quota 1 or 2; half the time its ranking is expanded and one or two
+    adjacent subsets are swapped, which may break either axiom."""
+    priority = [(start + k) % n for k in range(n)]
+    if rng.random() < 0.25:
+        k = rng.randrange(n - 1)
+        priority[k], priority[k + 1] = priority[k + 1], priority[k]
+    pref = ResponsivePreference(owner, n, rng.randint(1, 2), priority)
+    if rng.random() < 0.5:
+        return pref
+    ranking = list(responsive_to_ranked(pref).ranking)
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randrange(len(ranking) - 1)
+        ranking[k], ranking[k + 1] = ranking[k + 1], ranking[k]
+    return RankedPreference(owner, n, ranking)
+
+
+def mixed_market(seed):
+    """2-4 agents per side, ranked and responsive mixed, with opposed cyclic
+    priorities (as in the Latin blocks) so that stable sets tend to be wide."""
+    rng = random.Random(seed)
+    nf, nw = rng.randint(2, 4), rng.randint(2, 4)
+    shift = rng.randrange(nf)
+    return Market(
+        tuple(mixed_preference(rng, AgentId(Side.FIRMS, i), nw, i % nw) for i in range(nf)),
+        tuple(mixed_preference(rng, AgentId(Side.WORKERS, j), nf, (j + 1 + shift) % nf) for j in range(nw)),
+    )
+
+
+#: The first 51 seeds whose :func:`mixed_market` passes both axiom checks and
+#: has at least two stable matchings (found by scanning seeds 0, 1, 2, ...).
+MIXED_SEEDS = (
+    1, 2, 32, 35, 62, 66, 74, 95, 98, 119, 136, 145, 146, 147, 149, 163, 195,
+    203, 228, 234, 241, 250, 261, 330, 340, 345, 403, 411, 415, 418, 432, 437,
+    494, 504, 508, 531, 550, 575, 610, 649, 668, 706, 742, 746, 747, 750, 752,
+    757, 762, 774, 789,
+)
+
+
+def disjoint_union(first, second):
+    """The market of ``first`` and ``second`` side by side: the second's
+    agents are renumbered after the first's and nobody accepts a partner
+    from the other market."""
+    def shifted(pref, side, index, offset, width):
+        owner = AgentId(side, index)
+        if isinstance(pref, ResponsivePreference):
+            return ResponsivePreference(owner, width, pref.quota, [p + offset for p in pref.priority])
+        return RankedPreference(owner, width, [[p + offset for p in subset] for subset in pref.ranking])
+
+    (f1, w1), (f2, w2) = first.shape, second.shape
+    firms = [(p, 0) for p in first.firm_prefs] + [(p, w1) for p in second.firm_prefs]
+    workers = [(p, 0) for p in first.worker_prefs] + [(p, f1) for p in second.worker_prefs]
+    return Market(
+        tuple(shifted(p, Side.FIRMS, i, offset, w1 + w2) for i, (p, offset) in enumerate(firms)),
+        tuple(shifted(p, Side.WORKERS, j, offset, f1 + f2) for j, (p, offset) in enumerate(workers)),
+    )
+
+
+def searched(market):
+    """The stable set from the backtracking search over the rows bracketed by
+    the two deferred-acceptance matchings, sorted by firm-assignment encoding."""
+    top, bottom = extremes(market)
+    rows_per_firm = [
+        _bracketed_rows(pref, market.num_workers, high, low)
+        for pref, high, low in zip(market.firm_prefs, top.firm_masks, bottom.firm_masks)
+    ]
+    need = [mask.bit_count() for mask in top.worker_masks]
+    return sorted(_search(market, rows_per_firm, need), key=lambda m: m.firm_masks)
+
+
+def product_space(market):
+    """How many matchings :func:`enumerate_product_oracle` screens."""
+    rows = [
+        sum(choice_oracle(pref, frozenset(row)) == frozenset(row) for row in powerset(range(market.num_workers)))
+        for pref in market.firm_prefs
+    ]
+    return math.prod(rows)
+
+
+class TestWalk:
+    """The walk down from the firm-optimal matching against the backtracking
+    search and the screened products it replaced."""
+
+    @pytest.mark.parametrize(
+        "family", ["golden", "corpus", "block-3+2", "block-2+2+2", "block-4+4+4", "mixed", "mixed-unions"]
+    )
+    def test_matches_the_search_and_the_products(self, request, monkeypatch, family):
+        monkeypatch.setattr(lattice, "ENUMERATION_GUARD", 144)
+        # (market, the product oracle's answer or None to compute it when small)
+        if family == "golden":
+            cases = [(request.getfixturevalue("example_market"), None)]
+        elif family == "corpus":
+            cases = [(case.market, None) for case in request.getfixturevalue("corpus")]
+        elif family.startswith("block-"):
+            sizes = tuple(map(int, family[len("block-"):].split("+")))
+            blocks = [block_diagonal_market((n,)) for n in sizes]
+            cases = [(block_diagonal_market(sizes), block_product_oracle(blocks))]
+        else:
+            mixed = [mixed_market(seed) for seed in MIXED_SEEDS]
+            if family == "mixed":
+                cases = [(market, None) for market in mixed]
+            else:
+                pairs = zip(mixed[::2], mixed[1::2])
+                cases = [(disjoint_union(a, b), block_product_oracle([a, b])) for a, b in pairs]
+        for market, expected in cases:
+            walked = list(enumerate_stable(market))
+            assert walked == searched(market), market
+            if expected is None and product_space(market) <= 1_000:
+                expected = enumerate_product_oracle(market)
+            if expected is not None:
+                assert walked == expected, market
+
+    def test_mixed_seeds_qualify(self):
+        # MIXED_SEEDS holds 51 seeds whose markets pass both axiom checks
+        # and have at least two stable matchings, some of them ranked.
+        assert len(MIXED_SEEDS) == 51
+        ranked = 0
+        for seed in MIXED_SEEDS:
+            market = mixed_market(seed)
+            assert profile_violations(market) == []
+            assert len(enumerate_stable(market)) >= 2
+            ranked += any(isinstance(p, RankedPreference) for p in market.firm_prefs + market.worker_prefs)
+        assert ranked > 40
+
+    @pytest.mark.parametrize("n, axiom_guard", [(12, 16), (20, 20)])
+    def test_quota_two_markets_past_the_guards(self, monkeypatch, n, axiom_guard):
+        # Every agent has quota 2 and the stable set is a chain of n - 1
+        # members; the search took seconds at n = 10.
+        monkeypatch.setattr(lattice, "ENUMERATION_GUARD", n * n)
+        monkeypatch.setattr(prefs, "AXIOM_GUARD", axiom_guard)
+        market = generate_responsive_market(1, n, n, max_quota=2).build_market()
+        start = time.perf_counter()
+        stable = enumerate_stable(market)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"enumeration took {elapsed:.2f} s"
+        assert len(set(stable)) == len(stable) == n - 1
+        for m in stable:
+            assert stable_oracle(m, market)
+        for a, b in itertools.product(stable, repeat=2):
+            assert join_f(a, b, market) in stable
+            assert meet_f(a, b, market) in stable
+        assert rht_check(stable)
+        masks, _ = stable._down_sets()
+        assert len(masks) == n - 1
+
+    def test_an_unstable_break_is_refused_not_dropped(self, monkeypatch, example_market):
+        # With every matching but the firm-optimal one reported blocked, the
+        # walk must refuse instead of returning fewer members.
+        top, _ = extremes(example_market)
+        blocker = (AgentId(Side.FIRMS, 0), AgentId(Side.WORKERS, 0))
+        monkeypatch.setattr(lattice, "find_blocking", lambda m, market: None if m == top else blocker)
+        with pytest.raises(ValidationError) as info:
+            enumerate_stable(example_market)
+        assert info.value.code == "not-stable"
 
 
 class TestFirmOrder:

@@ -13,6 +13,7 @@ from matchlattice import (
     RationalMatrix,
     Side,
     ValidationError,
+    dominates,
     find_blocking,
     is_stable,
 )
@@ -73,6 +74,25 @@ class TestMatching:
         m = Matching.empty(3, 2)
         assert m.edges() == frozenset()
         assert m.shape == (3, 2)
+
+
+@pytest.mark.parametrize("side", list(Side), ids=str)
+@pytest.mark.parametrize("index", [-1, 4, True, 1.0, "1"], ids=repr)
+def test_agent_index_must_be_an_int_in_range(
+    example_market, example_stable, nus, canonical_x, canonical_y, side, index
+):
+    # A bool, a float or a string is not an index, and -1 does not count
+    # from the end: each is refused instead of read as some other agent.
+    agent = AgentId(side, index)
+    for call in (
+        lambda: example_market.pref(agent),
+        lambda: nus[0].assigned_mask(agent),
+        lambda: nus[0].assigned(agent),
+        lambda: dominates(canonical_x, canonical_y, example_stable, agent),
+    ):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert info.value.code == "unknown-agent"
 
 
 class TestIncidence:
