@@ -122,8 +122,8 @@ class StableSet:
     for :func:`hasse_edges` and for the decreasing-form check of
     lottery joins and meets.  The members' down-sets over J
     (:meth:`_down_sets`) are built from it when first needed and kept; every
-    join and meet is read off them, so a set that is not the down-set lattice
-    of its J refuses them all (not-in-stable-set).
+    join and meet, and every lottery profile, is read off them, so a set that
+    is not the down-set lattice of its J refuses them all (not-in-stable-set).
     """
 
     market: Market

@@ -20,8 +20,11 @@ On canonical forms the package provides
   weight 1/e, e the split's denominator (refused above
   :data:`LCM_SLICE_GUARD` slices);
 * :func:`dominates` -- the stochastic-dominance order, per agent or per
-  side, decided termwise on the split;
-* :func:`split_dominates` -- its weak half for a side;
+  side: a side's verdict is read off the two profiles over J (p_x >= p_y
+  pointwise for the firms, p_x <= p_y for the workers), an agent's is
+  decided termwise on the split;
+* :func:`split_dominates` -- the weak half for a side, decided termwise on
+  the split: the reference the profile verdict is tested against;
 * :func:`join_random` / :func:`meet_random` -- least upper bound and
   greatest lower bound for a side, computed termwise over a refinement.
 
@@ -29,9 +32,10 @@ A :class:`Lottery` stores its mass as integer counts of 1/D, D the lcm of its
 weight denominators; its Fraction weights are views.  The sweep adds
 integer counts over J and the peel subtracts integer cell counts; both
 refinements are a :class:`SplitAlignment` of integer slice counts, and the
-rural-hospital check compares cross-multiplied cell counts.  Dominance adds
-no weights at all.  A :class:`~fractions.Fraction` is made per weight or
-trace value read; no tolerance is used anywhere.
+rural-hospital check compares cross-multiplied cell counts.  Side dominance
+compares two integer profiles scaled to the lcm of the denominators, and
+termwise dominance adds no weights at all.  A :class:`~fractions.Fraction`
+is made per weight or trace value read; no tolerance is used anywhere.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, groupby, repeat
-from operator import itemgetter
+from operator import ge, itemgetter, le
 from typing import Iterable, Union
 
 from .errors import CapacityError, ValidationError
@@ -339,6 +343,19 @@ def _descends(stable_set: StableSet, positions: list[int]) -> bool:
     return all(stable_set.cmp_f(a, b) is Cmp.GREATER for a, b in zip(positions, positions[1:]))
 
 
+def _profile(counts: Iterable[int], positions: Iterable[int], masks: tuple[int, ...]) -> list[int]:
+    """The profile over J of the terms at stable-set ``positions`` with these
+    ``counts``, ``masks`` being the members' down-sets: entry b is the count
+    on the members whose down-set holds the b-th member of J, that is
+    p(j) = P(m >=_F j) in units of 1/D."""
+    # Each member of J is in its own down-set, so the largest mask spans J.
+    profile = [0] * max(masks).bit_length()
+    for count, k in zip(counts, positions):
+        for b in mask_subset(masks[k]):
+            profile[b] += count
+    return profile
+
+
 def decompose(lottery: Lottery, stable_set: StableSet) -> Lottery:
     """Rewrite a lottery into its unique decreasing representation.
 
@@ -362,11 +379,7 @@ def decompose(lottery: Lottery, stable_set: StableSet) -> Lottery:
     if _descends(stable_set, positions):
         return lottery
     masks, position_of = stable_set._down_sets()
-    # Each member of J is in its own down-set, so the largest mask spans J.
-    profile = [0] * max(masks).bit_length()
-    for count, k in zip(lottery.counts, positions):
-        for b in mask_subset(masks[k]):
-            profile[b] += count
+    profile = _profile(lottery.counts, positions, masks)
     runs, previous = [], 0
     for level in sorted(set(profile) - {0}):
         runs.append((level - previous, sum(1 << b for b, p in enumerate(profile) if p >= level)))
@@ -531,11 +544,11 @@ def dominates(x: Lottery, y: Lottery, stable_set: StableSet, who: Union[Side, Ag
     assignment v of ``y``'s decreasing representation, ``x`` puts at least as
     much mass as ``y`` on the assignments the agent weakly prefers to v.
 
-    Both lotteries are canonicalised and split, and one pass of the order
-    kernel over every (aligned slice, agent) pair decides it: ``x`` weakly
-    dominates iff every pair weakly favours its ``x`` matching, so the
-    kernel's four outcomes are the four verdicts.  This agrees with the
-    definition.  If every pair passes, each unit of ``y``'s mass at or
+    For one agent both lotteries are canonicalised and split, and one pass
+    of the order kernel over every (aligned slice, agent) pair decides it:
+    ``x`` weakly dominates iff every pair weakly favours its ``x`` matching,
+    so the kernel's four outcomes are the four verdicts.  This agrees with
+    the definition.  If every pair passes, each unit of ``y``'s mass at or
     above v is matched by ``x``'s mass on the same slice.  Along a
     decreasing representation each agent's assignments form a chain in its
     order (a partial order under substitutability), descending for firms and
@@ -543,15 +556,44 @@ def dominates(x: Lottery, y: Lottery, stable_set: StableSet, who: Union[Side, Ag
     slice-k assignment, then ``y`` puts at least c_k on assignments at or
     above v and ``x`` at most c_{k-1}, c_k being the weight of slices 1..k
     (for a worker, read the slices from the other end).
+
+    For a side the verdict is read off the two profiles over J, scaled to
+    the lcm of the denominators; a lottery has the profile of its canonical
+    form, so neither is decomposed.  ``x`` weakly dominates for the firms
+    iff p_x >= p_y at every j, and for the workers iff p_x <= p_y.  This is
+    the termwise fold of :func:`split_dominates`, the reference, taken both
+    ways: cut into unit slices, the level-t member of a canonical form has
+    the down-set {j : p(j) >= t}; one member is at least another for the
+    firms iff its down-set holds the other's, and the workers' order is the
+    reverse.  So every slice favours ``x`` iff each level set of p_x holds
+    that of p_y.  The tests check this equality; they do not prove it.  A
+    stable set that is not the down-set lattice of its J is refused
+    (not-in-stable-set).
     """
     _require_side(who, agent_allowed=True)
-    return _VERDICT[_aligned_cmp(_refined(x, y, stable_set, "split"), stable_set.market, who)]
+    if isinstance(who, AgentId):
+        return _VERDICT[_aligned_cmp(_refined(x, y, stable_set, "split"), stable_set.market, who)]
+    masks, _ = stable_set._down_sets()
+    denominator = math.lcm(x.denominator, y.denominator)
+    # Looking the terms up is the membership check: raises not-in-stable-set.
+    px, py = (
+        [p * scale for p in _profile(z.counts, map(stable_set.index, z.matchings), masks)]
+        for z, scale in ((x, denominator // x.denominator), (y, denominator // y.denominator))
+    )
+    forward, backward = all(map(ge, px, py)), all(map(le, px, py))
+    if who is Side.WORKERS:
+        forward, backward = backward, forward
+    if forward:
+        return _VERDICT[Cmp.EQUAL if backward else Cmp.GREATER]
+    return _VERDICT[Cmp.LESS if backward else Cmp.INCOMPARABLE]
 
 
 def split_dominates(x: Lottery, y: Lottery, stable_set: StableSet, side: Side) -> bool:
     """True iff ``x`` weakly dominates ``y`` for ``side``: every aligned pair
     of the split of their decreasing representations weakly favours ``x``
-    (the forward half of :func:`dominates`)."""
+    (the forward half of :func:`dominates`).  It stays termwise and is the
+    reference that the profile verdict of side :func:`dominates` is tested
+    against."""
     _require_side(side)
     return _aligned_cmp(_refined(x, y, stable_set, "split"), stable_set.market, side).at_least
 

@@ -37,7 +37,14 @@ from matchlattice import (
 )
 from matchlattice import lattice, prefs
 from matchlattice.lattice import _deferred_acceptance
-from conftest import block_diagonal_market, build_example_market, one_firm_market
+from conftest import (
+    MIXED_SEEDS,
+    block_diagonal_market,
+    build_example_market,
+    disjoint_union,
+    mixed_market,
+    one_firm_market,
+)
 from oracles import (
     _bracketed_rows,
     _search,
@@ -49,7 +56,6 @@ from oracles import (
     firm_table_oracle,
     hasse_oracle,
     powerset,
-    responsive_to_ranked,
     stable_oracle,
     worker_at_least_oracle,
 )
@@ -158,8 +164,10 @@ class TestEnumerate:
 
 
 class TestBracketedEnumeration:
-    """Enumeration between the two deferred-acceptance matchings against the
-    unpruned product of individually rational rows."""
+    """The walk from the firm-optimal to the worker-optimal matching: its
+    members, their order and the firm table against the unpruned product of
+    individually rational rows (``enumerate_product_oracle`` in
+    ``tests/oracles.py``), and its two ends against deferred acceptance."""
 
     def test_corpus_matches_product_oracle(self, corpus):
         for case in corpus:
@@ -234,8 +242,11 @@ def rotation_market(size=5, quota=2):
 
 
 class TestSearch:
-    """The backtracking search against the screened product of the same
-    bracketed rows, and on markets too large for any product."""
+    """The walk against the screened product of the rows that the oracle
+    copy of ``_bracketed_rows`` in ``tests/oracles.py`` keeps between the two
+    deferred-acceptance matchings, and on markets too large for any product:
+    its speed, its garbage and the axiom-size guard.  ``TestWalk`` checks it
+    against the oracle copy of ``_search``."""
 
     def test_rotation_market_matches_the_screened_product(self):
         market = rotation_market()
@@ -296,65 +307,6 @@ class TestSearch:
         # the axiom budget even though a responsive firm is never searched.
         with pytest.raises(CapacityError):
             enumerate_stable(one_firm_market(17))
-
-
-def mixed_preference(rng, owner, n, start):
-    """A cyclic priority from ``start``, sometimes with one adjacent swap,
-    and quota 1 or 2; half the time its ranking is expanded and one or two
-    adjacent subsets are swapped, which may break either axiom."""
-    priority = [(start + k) % n for k in range(n)]
-    if rng.random() < 0.25:
-        k = rng.randrange(n - 1)
-        priority[k], priority[k + 1] = priority[k + 1], priority[k]
-    pref = ResponsivePreference(owner, n, rng.randint(1, 2), priority)
-    if rng.random() < 0.5:
-        return pref
-    ranking = list(responsive_to_ranked(pref).ranking)
-    for _ in range(rng.randint(1, 2)):
-        k = rng.randrange(len(ranking) - 1)
-        ranking[k], ranking[k + 1] = ranking[k + 1], ranking[k]
-    return RankedPreference(owner, n, ranking)
-
-
-def mixed_market(seed):
-    """2-4 agents per side, ranked and responsive mixed, with opposed cyclic
-    priorities (as in the Latin blocks) so that stable sets tend to be wide."""
-    rng = random.Random(seed)
-    nf, nw = rng.randint(2, 4), rng.randint(2, 4)
-    shift = rng.randrange(nf)
-    return Market(
-        tuple(mixed_preference(rng, AgentId(Side.FIRMS, i), nw, i % nw) for i in range(nf)),
-        tuple(mixed_preference(rng, AgentId(Side.WORKERS, j), nf, (j + 1 + shift) % nf) for j in range(nw)),
-    )
-
-
-#: The first 51 seeds whose :func:`mixed_market` passes both axiom checks and
-#: has at least two stable matchings (found by scanning seeds 0, 1, 2, ...).
-MIXED_SEEDS = (
-    1, 2, 32, 35, 62, 66, 74, 95, 98, 119, 136, 145, 146, 147, 149, 163, 195,
-    203, 228, 234, 241, 250, 261, 330, 340, 345, 403, 411, 415, 418, 432, 437,
-    494, 504, 508, 531, 550, 575, 610, 649, 668, 706, 742, 746, 747, 750, 752,
-    757, 762, 774, 789,
-)
-
-
-def disjoint_union(first, second):
-    """The market of ``first`` and ``second`` side by side: the second's
-    agents are renumbered after the first's and nobody accepts a partner
-    from the other market."""
-    def shifted(pref, side, index, offset, width):
-        owner = AgentId(side, index)
-        if isinstance(pref, ResponsivePreference):
-            return ResponsivePreference(owner, width, pref.quota, [p + offset for p in pref.priority])
-        return RankedPreference(owner, width, [[p + offset for p in subset] for subset in pref.ranking])
-
-    (f1, w1), (f2, w2) = first.shape, second.shape
-    firms = [(p, 0) for p in first.firm_prefs] + [(p, w1) for p in second.firm_prefs]
-    workers = [(p, 0) for p in first.worker_prefs] + [(p, f1) for p in second.worker_prefs]
-    return Market(
-        tuple(shifted(p, Side.FIRMS, i, offset, w1 + w2) for i, (p, offset) in enumerate(firms)),
-        tuple(shifted(p, Side.WORKERS, j, offset, f1 + f2) for j, (p, offset) in enumerate(workers)),
-    )
 
 
 def searched(market):

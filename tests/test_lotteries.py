@@ -36,8 +36,23 @@ from matchlattice import (
 )
 from matchlattice import lattice
 from matchlattice import lotteries as lottery_module
-from matchlattice.lotteries import LCM_SLICE_GUARD, _combine_termwise, _merge_runs
-from conftest import LONG_WEIGHT, alternative_representations, block_diagonal_market, random_lottery
+from matchlattice.lotteries import (
+    _VERDICT,
+    LCM_SLICE_GUARD,
+    _aligned_cmp,
+    _combine_termwise,
+    _merge_runs,
+    _refined,
+)
+from conftest import (
+    LONG_WEIGHT,
+    MIXED_SEEDS,
+    alternative_representations,
+    block_diagonal_market,
+    disjoint_union,
+    mixed_market,
+    random_lottery,
+)
 from oracles import decompose_oracle, dominance_sums_oracle, expectation_oracle, weak_dominance_oracle
 
 
@@ -703,6 +718,76 @@ class TestDominanceOracle:
             self.check(case.stable, case.lotteries[:2])
 
 
+class TestSideProfileDominance:
+    """Side ``dominates`` reads its verdict off the profiles over J; it must
+    equal the termwise fold of the order kernel over the split, and its weak
+    half ``split_dominates``, for both sides and every ordered pair."""
+
+    @staticmethod
+    def lotteries(stable, rng):
+        """Raw lotteries and each halved and repeated, degenerate ones, the
+        top and the bottom, and two with denominators 12 and 35, so that the
+        profiles are scaled to a common denominator."""
+        raw = [random_lottery(rng, stable) for _ in range(2)]
+        halved = [alternative_representations(x, stable)[0] for x in raw]
+        degenerate = [Lottery.degenerate(stable[k]) for k in rng.sample(range(len(stable)), 2)]
+        ends = [Lottery.degenerate(stable.firm_optimal), Lottery.degenerate(stable.firm_pessimal)]
+        a, b = rng.sample(list(stable), 2)
+        unequal = [
+            Lottery.from_pairs([("1/12", a), ("11/12", b)]),
+            Lottery.from_pairs([("1/35", b), ("34/35", a)]),
+        ]
+        return raw + halved + degenerate + ends + unequal
+
+    @pytest.mark.parametrize(
+        "family", ["golden", "block-3+2", "block-2+2+2", "mixed", "mixed-unions"]
+    )
+    def test_equals_the_termwise_fold(self, request, monkeypatch, family):
+        monkeypatch.setattr(lattice, "ENUMERATION_GUARD", 144)
+        if family == "golden":
+            markets = [request.getfixturevalue("example_market")]
+        elif family.startswith("block-"):
+            markets = [block_diagonal_market(tuple(map(int, family[len("block-"):].split("+"))))]
+        else:
+            mixed = [mixed_market(seed) for seed in MIXED_SEEDS]
+            if family == "mixed-unions":
+                mixed = [disjoint_union(a, b) for a, b in zip(mixed[::2], mixed[1::2])]
+            markets = mixed
+        seen = set()
+        for market in markets:
+            stable = enumerate_stable(market)
+            assert len(stable) >= 2
+            inputs = self.lotteries(stable, random.Random(len(stable)))
+            for x, y in itertools.product(inputs, repeat=2):
+                alignment = _refined(x, y, stable, "split")
+                for side in Side:
+                    verdict = dominates(x, y, stable, side)
+                    assert verdict is _VERDICT[_aligned_cmp(alignment, market, side)], (x, y, side)
+                    assert verdict.weakly_dominates == split_dominates(x, y, stable, side), (x, y, side)
+                    seen.add(verdict)
+        assert seen == set(Dominance)
+
+    def test_answers_where_the_sweep_needs_a_missing_member(self, example_stable):
+        # The bottom and two incomparable members just above it pass the
+        # down-set check, but the set lacks their join, which the sweep of an
+        # even lottery over the two needs: decompose refuses, while side
+        # dominance needs no member and agrees with the whole stable set.
+        stable = example_stable
+        bottom = stable.index(stable.firm_pessimal)
+        a, b = next(
+            (a, b)
+            for a, b in itertools.combinations(range(len(stable)), 2)
+            if stable.cmp_f(a, b) is Cmp.INCOMPARABLE and stable.meet(a, b) == bottom
+        )
+        partial = sub_stable_set(stable, {bottom, a, b})
+        x = lottery(("1/2", stable[a]), ("1/2", stable[b]))
+        y = Lottery.degenerate(stable[bottom])
+        assert answer(decompose, x, partial) == "not-in-stable-set"
+        for side in Side:
+            assert dominates(x, y, partial, side) is dominates(x, y, stable, side)
+        assert dominates(x, y, partial, Side.FIRMS) is Dominance.STRONGLY_DOMINATES
+
+
 class TestJoinMeetRandom:
     def test_reference_join_and_meet(self, canonical_x, canonical_y, example_stable, nus):
         n1, n2, n3, n4 = nus
@@ -769,15 +854,20 @@ class TestJoinMeetRandom:
         self, example_market, nus
     ):
         # Two incomparable members with no join or meet are not a down-set
-        # lattice, so every join and meet refuses; decomposing and comparing
-        # lotteries that already descend needs neither, and still answers.
+        # lattice, so every join, meet and side comparison, all read off the
+        # down-set index, refuses; decomposing lotteries that already descend
+        # and comparing them for one agent need no index, and still answer.
         partial = middles_only(example_market, nus)
         x, y = Lottery.degenerate(nus[1]), Lottery.degenerate(nus[2])
         assert decompose(x, partial) == x
         assert decompose(y, partial) == y
+        firm = AgentId(Side.FIRMS, 0)
+        assert dominates(x, x, partial, firm) is Dominance.EQUAL
+        assert dominates(x, y, partial, firm) is Dominance.INCOMPARABLE
         for side in Side:
-            assert dominates(x, x, partial, side) is Dominance.EQUAL
-            assert dominates(x, y, partial, side) is Dominance.INCOMPARABLE
+            with pytest.raises(ValidationError) as info:
+                dominates(x, y, partial, side)
+            assert info.value.code == "not-in-stable-set"
         for needs_missing_member in (
             lambda: partial.join(0, 1),
             lambda: partial.meet(0, 1),
