@@ -101,17 +101,6 @@ def meet_f(m1: Matching, m2: Matching, market: Market) -> Matching:
     return multi_meet_f((m1, m2), market)
 
 
-def _held(position_of: dict[int, int], mask: int) -> int:
-    """Position of the member whose down-set over J is ``mask``, refused
-    (not-in-stable-set) when the stable set holds none."""
-    try:
-        return position_of[mask]
-    except KeyError:
-        raise ValidationError(
-            "the lattice needs a matching the stable set does not hold", code="not-in-stable-set"
-        ) from None
-
-
 @dataclass(frozen=True)
 class StableSet:
     """All stable matchings of a market, with the firms' order materialised.
@@ -121,9 +110,11 @@ class StableSet:
     matching ``j`` in the firms' common partial order; it is built once here
     for :func:`hasse_edges` and for the decreasing-form check of
     lottery joins and meets.  The members' down-sets over J
-    (:meth:`_down_sets`) are built from it when first needed and kept; every
-    join and meet, and every lottery profile, is read off them, so a set that
-    is not the down-set lattice of its J refuses them all (not-in-stable-set).
+    (:meth:`_down_sets`) are built from it and checked when first needed; every
+    join and meet, and every lottery profile, is read off them.  A set whose
+    held down-sets are not exactly the down-sets of J, or with a cover that
+    does not change the cells of its member of J, refuses them all
+    (not-in-stable-set).
     """
 
     market: Market
@@ -165,17 +156,19 @@ class StableSet:
         """Position of the firm-side join (the workers' meet) of members i and
         j: the member whose down-set is the union of theirs."""
         masks, position_of = self._down_sets()
-        return _held(position_of, masks[i] | masks[j])
+        return position_of[masks[i] | masks[j]]
 
     def meet(self, i: int, j: int) -> int:
         """Position of the firm-side meet (the workers' join) of members i and
         j: the member whose down-set is the intersection of theirs."""
         masks, position_of = self._down_sets()
-        return _held(position_of, masks[i] & masks[j])
+        return position_of[masks[i] & masks[j]]
 
     def _down_sets(self) -> tuple[tuple[int, ...], dict[int, int]]:
         """Each member's down-set over the join-irreducibles as a bitmask, by
-        position, and the position of each down-set (see :func:`_profile_index`)."""
+        position, and the position of each down-set; built once, and refused
+        unless the held down-sets are exactly the down-sets of J and each cover
+        changes the cells of its member of J (:func:`_profile_index`)."""
         if self._profile is None:
             object.__setattr__(self, "_profile", _profile_index(self))
         return self._profile
@@ -358,11 +351,13 @@ def _profile_index(stable_set: StableSet) -> tuple[tuple[int, ...], dict[int, in
     down-set over J, the join-irreducible members (those with exactly one
     lower cover), bit b of a down-set standing for the b-th member of J.
 
-    Refused (not-in-stable-set) unless the down-sets are distinct, the empty
-    one (the bottom) is among them, and every cover adds exactly one member j
-    of J and changes the same cells as j's own cover.  Then each member's
-    incidence matrix is the bottom's plus the changes of the members of J in
-    its down-set, which is what lets a lottery be read off its profile over J.
+    Refused (not-in-stable-set) unless the held down-sets are exactly the
+    down-sets of J and each cover changes the cells of its member of J: they
+    are distinct, the empty one is held, each held m holds d(j), the down-set
+    of each j in m, and holds m | d(j) for every j, and each cover adds one j.
+    Unions and intersections of held down-sets are then held, and each
+    member's incidence matrix is the bottom's plus the changes of the members
+    of J in its down-set, which lets a lottery be read off its profile over J.
     """
     edges = hasse_edges(stable_set)
     lower = [[] for _ in stable_set.matchings]
@@ -381,9 +376,11 @@ def _profile_index(stable_set: StableSet) -> tuple[tuple[int, ...], dict[int, in
         return tuple((a & ~b, b & ~a) for a, b in pairs)
 
     own = {1 << b: change(j, lower[j][0]) for b, j in enumerate(irreducibles)}
+    downs = [(b, masks[j]) for b, j in enumerate(irreducibles)]
     if (
         len(position) < len(masks)
         or 0 not in position
+        or any(m >> b & 1 and down & ~m or m | down not in position for m in masks for b, down in downs)
         or any(masks[k] & ~masks[i] or own.get(masks[i] ^ masks[k]) != change(i, k) for i, k in edges)
     ):
         raise ValidationError(

@@ -52,7 +52,7 @@ from operator import ge, itemgetter, le
 from typing import Iterable, Union
 
 from .errors import CapacityError, ValidationError
-from .lattice import StableSet, _held, compare_firms
+from .lattice import StableSet, compare_firms
 from .matchings import Matching, RationalMatrix
 from .prefs import AgentId, Cmp, Market, Side, _compare_pointwise, mask_subset
 
@@ -370,9 +370,10 @@ def decompose(lottery: Lottery, stable_set: StableSet) -> Lottery:
     equal expectation matrices always produce identical output: the same as
     the paper's peeling loop, :func:`decompose_run`, which also keeps a trace.
 
-    A term outside the stable set, a stable set that is not the lattice of
-    down-sets of its join-irreducibles, and a down-set the sweep needs but
-    the stable set lacks are refused with not-in-stable-set.
+    A term outside the stable set is refused with not-in-stable-set, and so
+    is a lottery that does not descend over a set whose held down-sets are
+    not exactly the down-sets of J, or with a cover that does not change the
+    cells of its member of J; an accepted set holds every level set.
     """
     # Looking the terms up is the membership check: raises not-in-stable-set.
     positions = [stable_set.index(m) for m in lottery.matchings]
@@ -386,7 +387,7 @@ def decompose(lottery: Lottery, stable_set: StableSet) -> Lottery:
         previous = level
     if previous < lottery.denominator:
         runs.append((lottery.denominator - previous, 0))  # the bottom's down-set is empty
-    runs = [(c, _held(position_of, mask)) for c, mask in runs]
+    runs = [(c, position_of[mask]) for c, mask in runs]
     if not _descends(stable_set, [k for _, k in runs]):
         raise ValidationError("the profile sweep is not in decreasing form", code="not-canonical")
     return Lottery._counted(lottery.denominator, ((c, stable_set[k]) for c, k in runs))

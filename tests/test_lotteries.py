@@ -27,8 +27,10 @@ from matchlattice import (
     dominates,
     enumerate_stable,
     is_decreasing,
+    join_f,
     join_random,
     lcm_refine,
+    meet_f,
     meet_random,
     random_rht_check,
     split,
@@ -428,9 +430,10 @@ class TestDecomposeSweep:
 
     @pytest.mark.parametrize("build", [None, (3, 2), (2, 2)], ids=["golden", "block-3+2", "block-2+2"])
     def test_sub_stable_sets_refuse_or_agree_with_the_peel(self, request, build):
-        # Dropping members can break the lattice: the sweep may then refuse
-        # where the peel answers, or answer where the peel refuses, but when
-        # both answer they agree, and every answer is a decreasing rewriting.
+        # Dropping members can break the lattice.  The peel closes its pool
+        # with joins and meets, so it answers only where the down-set index
+        # is accepted, and there the sweep answers the same.  Where the index
+        # is refused, the sweep answers only a lottery that already descends.
         if build is None:
             stable = request.getfixturevalue("example_stable")
         else:
@@ -440,25 +443,61 @@ class TestDecomposeSweep:
         members = range(len(stable))
         subsets = [[k for k in members if k != drop] for drop in members]
         subsets += [rng.sample(members, rng.randint(2, len(stable) - 1)) for _ in range(len(stable))]
-        outcomes = {"agree": 0, "sweep-refuses": 0, "peel-refuses": 0}
+        outcomes = {"agree": 0, "peel-refuses": 0, "both-refuse": 0}
         for keep in subsets:
             partial = sub_stable_set(stable, keep)
             for _ in range(8):
                 x = random_lottery(rng, partial)
                 peeled = answer(lambda x, s: decompose_run(x, s).result, x, partial)
                 swept = answer(decompose, x, partial)
-                if isinstance(swept, Lottery):
+                if isinstance(peeled, Lottery):
+                    assert swept == peeled
                     assert is_decreasing(swept, market)
                     assert swept.expectation() == x.expectation()
-                    if isinstance(peeled, Lottery):
-                        assert swept == peeled
-                        outcomes["agree"] += 1
-                    else:
-                        outcomes["peel-refuses"] += 1
+                    outcomes["agree"] += 1
+                elif isinstance(swept, Lottery):
+                    assert is_decreasing(x, market) and swept == x
+                    outcomes["peel-refuses"] += 1
                 else:
-                    assert swept in ("not-in-stable-set", "not-canonical")
-                    outcomes["sweep-refuses"] += isinstance(peeled, Lottery)
+                    assert swept == peeled == "not-in-stable-set"
+                    outcomes["both-refuse"] += 1
         assert outcomes["agree"] > 0, outcomes
+
+    @pytest.mark.parametrize("build", [None, (3, 2), (2, 2, 2), (4, 4, 4)],
+                             ids=["golden", "block-3+2", "block-2+2+2", "latin-4^3"])
+    def test_the_index_accepts_exactly_the_sub_sets_that_pointing_closes(self, request, monkeypatch, build):
+        # The pointing join_f and meet_f are the oracle: a sub-set of the
+        # stable set is a lattice of down-sets of its J exactly when they keep
+        # every pair of its members inside it, and on such a set the sweep
+        # agrees with the peel.
+        monkeypatch.setattr(lattice, "ENUMERATION_GUARD", 144)
+        if build is None:
+            stable = request.getfixturevalue("example_stable")
+        else:
+            stable = enumerate_stable(block_diagonal_market(build))
+        market = stable.market
+        members = range(len(stable))
+        pointed = {}
+        for a, b in itertools.combinations_with_replacement(members, 2):
+            pointed[a, b] = pointed[b, a] = (
+                stable.index(join_f(stable[a], stable[b], market)),
+                stable.index(meet_f(stable[a], stable[b], market)),
+            )
+        rng = random.Random(len(stable))
+        subsets = [[k for k in members if k != drop] for drop in members]
+        subsets += [rng.sample(members, rng.randint(1, len(stable) - 1)) for _ in range(150)]
+        accepted = 0
+        for keep in map(set, subsets):
+            closed = all(k in keep for a, b in itertools.product(keep, repeat=2) for k in pointed[a, b])
+            partial = sub_stable_set(stable, keep)
+            verdict = answer(lambda _, s: s._down_sets(), None, partial)
+            assert (verdict != "not-in-stable-set") == closed, sorted(keep)
+            if closed:
+                accepted += 1
+                for _ in range(3):
+                    x = random_lottery(rng, partial)
+                    assert decompose(x, partial) == decompose_run(x, partial).result
+        assert 0 < accepted < len(subsets)
 
 
 class TestSplit:
@@ -767,11 +806,10 @@ class TestSideProfileDominance:
                     seen.add(verdict)
         assert seen == set(Dominance)
 
-    def test_answers_where_the_sweep_needs_a_missing_member(self, example_stable):
-        # The bottom and two incomparable members just above it pass the
-        # down-set check, but the set lacks their join, which the sweep of an
-        # even lottery over the two needs: decompose refuses, while side
-        # dominance needs no member and agrees with the whole stable set.
+    def test_refuses_a_set_that_lacks_the_join_of_two_members(self, example_stable):
+        # The bottom and two incomparable members just above it are not
+        # closed under joins, so every reader of the down-set index refuses,
+        # side dominance as much as the termwise reference.
         stable = example_stable
         bottom = stable.index(stable.firm_pessimal)
         a, b = next(
@@ -782,10 +820,14 @@ class TestSideProfileDominance:
         partial = sub_stable_set(stable, {bottom, a, b})
         x = lottery(("1/2", stable[a]), ("1/2", stable[b]))
         y = Lottery.degenerate(stable[bottom])
-        assert answer(decompose, x, partial) == "not-in-stable-set"
+        codes = [answer(decompose, x, partial), answer(decompose_run, x, partial)]
+        codes.append(answer(lambda _, s: s.join(0, 1), None, partial))
         for side in Side:
-            assert dominates(x, y, partial, side) is dominates(x, y, stable, side)
-        assert dominates(x, y, partial, Side.FIRMS) is Dominance.STRONGLY_DOMINATES
+            codes.append(answer(lambda x, s: dominates(x, y, s, side), x, partial))
+            codes.append(answer(lambda x, s: split_dominates(x, y, s, side), x, partial))
+            for combine, method in itertools.product((join_random, meet_random), ("split", "lcm")):
+                codes.append(answer(lambda x, s: combine(x, y, s, side, method=method), x, partial))
+        assert codes == ["not-in-stable-set"] * 15
 
 
 class TestJoinMeetRandom:
