@@ -26,16 +26,18 @@ On canonical forms the package provides
 * :func:`split_dominates` -- the weak half for a side, decided termwise on
   the split: the reference the profile verdict is tested against;
 * :func:`join_random` / :func:`meet_random` -- least upper bound and
-  greatest lower bound for a side, computed termwise over a refinement.
+  greatest lower bound for a side: the sweep of the pointwise max or min of
+  the two profiles over J, or termwise over the lcm refinement.
 
 A :class:`Lottery` stores its mass as integer counts of 1/D, D the lcm of its
 weight denominators; its Fraction weights are views.  The sweep adds
 integer counts over J and the peel subtracts integer cell counts; both
 refinements are a :class:`SplitAlignment` of integer slice counts, and the
-rural-hospital check compares cross-multiplied cell counts.  Side dominance
-compares two integer profiles scaled to the lcm of the denominators, and
-termwise dominance adds no weights at all.  A :class:`~fractions.Fraction`
-is made per weight or trace value read; no tolerance is used anywhere.
+rural-hospital check compares cross-multiplied cell counts.  Side dominance,
+join and meet compare or combine two integer profiles scaled to the lcm of
+the denominators, and termwise dominance adds no weights at all.  A
+:class:`~fractions.Fraction` is made per weight or trace value read; no
+tolerance is used anywhere.
 """
 
 from __future__ import annotations
@@ -343,54 +345,53 @@ def _descends(stable_set: StableSet, positions: list[int]) -> bool:
     return all(stable_set.cmp_f(a, b) is Cmp.GREATER for a, b in zip(positions, positions[1:]))
 
 
-def _profile(counts: Iterable[int], positions: Iterable[int], masks: tuple[int, ...]) -> list[int]:
-    """The profile over J of the terms at stable-set ``positions`` with these
-    ``counts``, ``masks`` being the members' down-sets: entry b is the count
-    on the members whose down-set holds the b-th member of J, that is
-    p(j) = P(m >=_F j) in units of 1/D."""
+def _profiles(stable_set: StableSet, *lotteries: Lottery) -> tuple[int, list[list[int]]]:
+    """D, the lcm of the lotteries' denominators, and each lottery's profile
+    over J in whole units of 1/D: entry b is the mass on the members whose
+    down-set holds the b-th member of J, that is p(j) = P(m >=_F j).
+    Looking each term up once is the membership check (not-in-stable-set)."""
+    masks, _ = stable_set._down_sets()
+    denominator = math.lcm(*(z.denominator for z in lotteries))
     # Each member of J is in its own down-set, so the largest mask spans J.
-    profile = [0] * max(masks).bit_length()
-    for count, k in zip(counts, positions):
-        for b in mask_subset(masks[k]):
-            profile[b] += count
-    return profile
+    profiles = [[0] * max(masks).bit_length() for _ in lotteries]
+    for z, profile in zip(lotteries, profiles):
+        for count, matching in zip(z.counts, z.matchings):
+            count *= denominator // z.denominator
+            for b in mask_subset(masks[stable_set.index(matching)]):
+                profile[b] += count
+    return denominator, profiles
 
 
-def decompose(lottery: Lottery, stable_set: StableSet) -> Lottery:
-    """Rewrite a lottery into its unique decreasing representation.
-
-    A lottery whose matchings already strictly descend for the firms is its
-    own canonical form.  Any other is read off its profile over the
-    join-irreducible members J: p(j), in whole units of 1/D, is the mass on
-    the members at or above j.  Sweeping the distinct nonzero levels v of p
-    in ascending order, level v gives the member whose down-set over J is
-    {j : p(j) >= v}, with the count v minus the previous level, and the mass
-    up to D left after the highest level goes to the bottom.  The output
-    matchings strictly descend for the firms, and two input lotteries with
-    equal expectation matrices always produce identical output: the same as
-    the paper's peeling loop, :func:`decompose_run`, which also keeps a trace.
-
-    A term outside the stable set is refused with not-in-stable-set, and so
-    is a lottery that does not descend over a set whose held down-sets are
-    not exactly the down-sets of J, or with a cover that does not change the
-    cells of its member of J; an accepted set holds every level set.
-    """
-    # Looking the terms up is the membership check: raises not-in-stable-set.
-    positions = [stable_set.index(m) for m in lottery.matchings]
-    if _descends(stable_set, positions):
-        return lottery
-    masks, position_of = stable_set._down_sets()
-    profile = _profile(lottery.counts, positions, masks)
+def _swept(profile: list[int], denominator: int, stable_set: StableSet) -> Lottery:
+    """The decreasing lottery with this profile over J, in units of 1/D: level
+    v of the distinct nonzero levels of p, in ascending order, gives the
+    member whose down-set over J is {j : p(j) >= v}, with the count v minus
+    the previous level, and the mass up to D left after the highest level
+    goes to the bottom."""
+    _, position_of = stable_set._down_sets()
     runs, previous = [], 0
     for level in sorted(set(profile) - {0}):
         runs.append((level - previous, sum(1 << b for b, p in enumerate(profile) if p >= level)))
         previous = level
-    if previous < lottery.denominator:
-        runs.append((lottery.denominator - previous, 0))  # the bottom's down-set is empty
+    if previous < denominator:
+        runs.append((denominator - previous, 0))  # the bottom's down-set is empty
     runs = [(c, position_of[mask]) for c, mask in runs]
     if not _descends(stable_set, [k for _, k in runs]):
         raise ValidationError("the profile sweep is not in decreasing form", code="not-canonical")
-    return Lottery._counted(lottery.denominator, ((c, stable_set[k]) for c, k in runs))
+    return Lottery._counted(denominator, ((c, stable_set[k]) for c, k in runs))
+
+
+def decompose(lottery: Lottery, stable_set: StableSet) -> Lottery:
+    """Rewrite a lottery into its unique decreasing representation: the sweep
+    (:func:`_swept`) of its profile over the join-irreducible members J.
+    Two lotteries with equal expectation matrices give identical output, the
+    same as the paper's peeling loop, :func:`decompose_run`, which also
+    keeps a trace.  A term outside the stable set is refused with
+    not-in-stable-set, and so is every lottery over a set that fails the
+    down-set index check (:meth:`StableSet._down_sets`).
+    """
+    denominator, (profile,) = _profiles(stable_set, lottery)
+    return _swept(profile, denominator, stable_set)
 
 
 @dataclass(frozen=True)
@@ -485,9 +486,12 @@ def _unit_slices(alignment: SplitAlignment) -> SplitAlignment:
     """``alignment`` with each slice cut into unit slices, under the slice guard."""
     slices = alignment.denominator
     if slices > LCM_SLICE_GUARD:
+        try:
+            needed = f"{slices} slices"
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            needed = f"a slice count of {_digits(slices)} digits"
         raise CapacityError(
-            f"the lcm refinement needs {slices} slices; the budget is {LCM_SLICE_GUARD} "
-            "(use the split refinement)"
+            f"the lcm refinement needs {needed}; the budget is {LCM_SLICE_GUARD} (use the split refinement)"
         )
     left, right = (
         tuple(chain.from_iterable(map(repeat, side, alignment.counts)))
@@ -573,14 +577,8 @@ def dominates(x: Lottery, y: Lottery, stable_set: StableSet, who: Union[Side, Ag
     """
     _require_side(who, agent_allowed=True)
     if isinstance(who, AgentId):
-        return _VERDICT[_aligned_cmp(_refined(x, y, stable_set, "split"), stable_set.market, who)]
-    masks, _ = stable_set._down_sets()
-    denominator = math.lcm(x.denominator, y.denominator)
-    # Looking the terms up is the membership check: raises not-in-stable-set.
-    px, py = (
-        [p * scale for p in _profile(z.counts, map(stable_set.index, z.matchings), masks)]
-        for z, scale in ((x, denominator // x.denominator), (y, denominator // y.denominator))
-    )
+        return _VERDICT[_aligned_cmp(_refined(x, y, stable_set), stable_set.market, who)]
+    _, (px, py) = _profiles(stable_set, x, y)
     forward, backward = all(map(ge, px, py)), all(map(le, px, py))
     if who is Side.WORKERS:
         forward, backward = backward, forward
@@ -596,7 +594,7 @@ def split_dominates(x: Lottery, y: Lottery, stable_set: StableSet, side: Side) -
     reference that the profile verdict of side :func:`dominates` is tested
     against."""
     _require_side(side)
-    return _aligned_cmp(_refined(x, y, stable_set, "split"), stable_set.market, side).at_least
+    return _aligned_cmp(_refined(x, y, stable_set), stable_set.market, side).at_least
 
 
 def _combine_termwise(
@@ -623,19 +621,25 @@ def _combine_termwise(
     return Lottery._counted(alignment.denominator, ((c, stable_set[k]) for c, k in runs))
 
 
-def _refined(x: Lottery, y: Lottery, stable_set: StableSet, method: str) -> SplitAlignment:
-    """Both lotteries canonicalised and aligned by ``method``, "split" or "lcm".
+def _refined(x: Lottery, y: Lottery, stable_set: StableSet) -> SplitAlignment:
+    """Both lotteries canonicalised and split; :func:`decompose` has checked
+    that its outputs descend, so they are aligned without a second check."""
+    return _aligned(decompose(x, stable_set), decompose(y, stable_set))
 
-    :func:`decompose` looks every term up in the stable set and checks that
-    its output descends, so the outputs are aligned without a second check.
-    """
-    cx = decompose(x, stable_set)
-    cy = decompose(y, stable_set)
-    if method == "split":
-        return _aligned(cx, cy)
+
+def _combined(
+    x: Lottery, y: Lottery, stable_set: StableSet, side: Side, take_join: bool, method: str
+) -> Lottery:
+    """:func:`join_random`, or :func:`meet_random` where not ``take_join``."""
+    _require_side(side)
     if method == "lcm":
-        return _unit_slices(_aligned(cx, cy))
-    raise ValidationError(f"unknown refinement method {method!r}", code="bad-method")
+        return _combine_termwise(_unit_slices(_refined(x, y, stable_set)), side, take_join, stable_set)
+    if method != "split":
+        raise ValidationError(f"unknown refinement method {method!r}", code="bad-method")
+    denominator, (px, py) = _profiles(stable_set, x, y)
+    # Level set t of max(px, py) is the union of theirs: the firms' join, the workers' meet.
+    pick = max if take_join == (side is Side.FIRMS) else min
+    return _swept(list(map(pick, px, py)), denominator, stable_set)
 
 
 def join_random(
@@ -643,14 +647,15 @@ def join_random(
 ) -> Lottery:
     """Least upper bound of two lotteries for a side, in canonical form.
 
-    Both lotteries are canonicalised, aligned over a common weight vector
-    (``method`` picks the breakpoint merge or the lcm refinement; the result
-    is the same), and combined termwise with the side's deterministic join.
-    The result weakly dominates both inputs and is below every common upper
-    bound; firm-side join equals worker-side meet.
+    It is the sweep (:func:`_swept`) of the pointwise max (for the firms) or
+    min (for the workers) of the two profiles over J, scaled to the lcm of
+    the denominators: slice t of the split joins the level sets
+    {j : p(j) >= t}.  ``method="lcm"`` combines the canonical forms termwise
+    over the lcm refinement, as the paper does: the reference the sweep is
+    tested against.  The result weakly dominates both inputs and is below
+    every common upper bound; firm-side join equals worker-side meet.
     """
-    _require_side(side)
-    return _combine_termwise(_refined(x, y, stable_set, method), side, True, stable_set)
+    return _combined(x, y, stable_set, side, True, method)
 
 
 def meet_random(
@@ -658,8 +663,7 @@ def meet_random(
 ) -> Lottery:
     """Greatest lower bound of two lotteries for a side (see
     :func:`join_random`); firm-side meet equals worker-side join."""
-    _require_side(side)
-    return _combine_termwise(_refined(x, y, stable_set, method), side, False, stable_set)
+    return _combined(x, y, stable_set, side, False, method)
 
 
 def random_rht_check(x: Lottery, y: Lottery) -> bool:

@@ -798,7 +798,7 @@ class TestSideProfileDominance:
             assert len(stable) >= 2
             inputs = self.lotteries(stable, random.Random(len(stable)))
             for x, y in itertools.product(inputs, repeat=2):
-                alignment = _refined(x, y, stable, "split")
+                alignment = _refined(x, y, stable)
                 for side in Side:
                     verdict = dominates(x, y, stable, side)
                     assert verdict is _VERDICT[_aligned_cmp(alignment, market, side)], (x, y, side)
@@ -892,33 +892,31 @@ class TestJoinMeetRandom:
             decompose(lottery(("1/2", nus[1]), ("1/2", nus[2])), partial)
         assert info.value.code == "not-in-stable-set"
 
-    def test_partial_stable_set_fails_only_where_a_missing_join_is_needed(
-        self, example_market, nus
-    ):
+    def test_partial_stable_set_refuses_every_lottery_function(self, example_market, nus):
         # Two incomparable members with no join or meet are not a down-set
-        # lattice, so every join, meet and side comparison, all read off the
-        # down-set index, refuses; decomposing lotteries that already descend
-        # and comparing them for one agent need no index, and still answer.
+        # lattice.  Every lottery function reads the down-set index, so each
+        # refuses, degenerate lotteries that already descend and one agent's
+        # comparison included, and so does every member join and meet.
         partial = middles_only(example_market, nus)
         x, y = Lottery.degenerate(nus[1]), Lottery.degenerate(nus[2])
-        assert decompose(x, partial) == x
-        assert decompose(y, partial) == y
-        firm = AgentId(Side.FIRMS, 0)
-        assert dominates(x, x, partial, firm) is Dominance.EQUAL
-        assert dominates(x, y, partial, firm) is Dominance.INCOMPARABLE
+        calls = [lambda z=z: decompose(z, partial) for z in (x, y)]
+        for who in (*Side, AgentId(Side.FIRMS, 0), AgentId(Side.WORKERS, 1)):
+            calls += [lambda a=a, b=b, who=who: dominates(a, b, partial, who) for a, b in ((x, x), (x, y))]
         for side in Side:
-            with pytest.raises(ValidationError) as info:
-                dominates(x, y, partial, side)
-            assert info.value.code == "not-in-stable-set"
-        for needs_missing_member in (
+            calls.append(lambda side=side: split_dominates(x, y, partial, side))
+            for combine, method in itertools.product((join_random, meet_random), ("split", "lcm")):
+                calls.append(lambda c=combine, m=method, side=side: c(x, y, partial, side, method=m))
+        calls += [
             lambda: partial.join(0, 1),
             lambda: partial.meet(0, 1),
             lambda: partial.firm_optimal,
             lambda: partial.firm_pessimal,
-        ):
+        ]
+        for call in calls:
             with pytest.raises(ValidationError) as info:
-                needs_missing_member()
+                call()
             assert info.value.code == "not-in-stable-set"
+        assert len(calls) == 24
 
     @pytest.mark.parametrize("build", [None, (3, 2)], ids=["golden", "block-3+2"])
     def test_the_lottery_layer_never_points(self, request, monkeypatch, build):
@@ -1019,6 +1017,63 @@ class TestJoinMeetRandom:
             assert info.value.code == "not-canonical"
 
 
+class TestProfileJoinMeet:
+    """The default join and meet are swept off the pointwise max or min of the
+    two profiles over J.  They must equal the termwise join and meet over the
+    split and over the lcm refinement, for both sides and every ordered pair."""
+
+    @staticmethod
+    def stable_sets(monkeypatch, example_stable, corpus):
+        """Golden, 3+2, 2+2+2 and 4+4+4 blocks, the mixed markets and their
+        unions, and the corpus: 210 stable sets."""
+        monkeypatch.setattr(lattice, "ENUMERATION_GUARD", 144)
+        mixed = [mixed_market(seed) for seed in MIXED_SEEDS]
+        markets = [block_diagonal_market(sizes) for sizes in ((3, 2), (2, 2, 2), (4, 4, 4))]
+        markets += mixed + [disjoint_union(a, b) for a, b in zip(mixed[::2], mixed[1::2])]
+        return [example_stable] + [enumerate_stable(m) for m in markets] + [c.stable for c in corpus]
+
+    def test_equals_the_termwise_join_and_meet(self, monkeypatch, example_stable, corpus):
+        stable_sets = self.stable_sets(monkeypatch, example_stable, corpus)
+        assert len(stable_sets) == 210
+        compared = 0
+        for stable in stable_sets:
+            rng = random.Random(len(stable) + 43)
+            inputs = [random_lottery(rng, stable) for _ in range(6)]
+            for x, y in itertools.product(inputs, repeat=2):
+                alignment = _refined(x, y, stable)
+                for side, (combine, take_join) in itertools.product(
+                    Side, ((join_random, True), (meet_random, False))
+                ):
+                    swept = combine(x, y, stable, side)
+                    assert swept == _combine_termwise(alignment, side, take_join, stable), (x, y, side)
+                    assert swept == combine(x, y, stable, side, method="lcm"), (x, y, side)
+                    compared += 1
+        assert compared == 210 * 36 * 4
+
+    def test_reads_each_term_once_and_combines_no_members(
+        self, monkeypatch, raw_x, canonical_x, canonical_y, example_stable
+    ):
+        calls = []
+        for owner, name in (
+            (lottery_module, "decompose"),
+            (lottery_module, "_aligned"),
+            (lottery_module, "_combine_termwise"),
+            (StableSet, "join"),
+            (StableSet, "meet"),
+            (StableSet, "index"),
+        ):
+            def counting(*args, name=name, kernel=getattr(owner, name)):
+                calls.append(name)
+                return kernel(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        for x, y in itertools.product((raw_x, canonical_x, canonical_y), repeat=2):
+            for side, combine in itertools.product(Side, (join_random, meet_random)):
+                calls.clear()
+                combine(x, y, example_stable, side)
+                assert calls == ["index"] * (len(x) + len(y)), (x, y, side)
+
+
 class TestLcmRefine:
     def test_reference_slice_count(self, canonical_x, canonical_y, example_market, nus):
         n1, n2, n3, n4 = nus
@@ -1083,6 +1138,23 @@ class TestLcmRefine:
             with pytest.raises(CapacityError) as info:
                 combine(x, y, example_stable, Side.FIRMS, method="lcm")
             assert str(LCM_SLICE_GUARD + 1) in str(info.value)
+
+    def test_slice_guard_states_the_digits_of_a_count_too_long_to_print(self, example_stable, nus):
+        # Denominators of 3,000 digits each: e has 5,999, past the
+        # interpreter's int-to-str digit limit, so its length is stated.
+        long_a, long_b = int("1" * 3000), int("1" * 2998 + "13")
+        x = Lottery(((Fraction(1, long_a), nus[0]), (Fraction(long_a - 1, long_a), nus[3])))
+        y = Lottery(((Fraction(1, long_b), nus[0]), (Fraction(long_b - 1, long_b), nus[3])))
+        calls = [lambda: lcm_refine(x, y, example_stable.market)]
+        for combine, side in itertools.product((join_random, meet_random), Side):
+            calls.append(lambda c=combine, side=side: c(x, y, example_stable, side, method="lcm"))
+        for call in calls:
+            with pytest.raises(CapacityError) as info:
+                call()
+            assert str(info.value) == (
+                "the lcm refinement needs a slice count of 5999 digits; the budget is 1000000 "
+                "(use the split refinement)"
+            )
 
     @pytest.mark.parametrize("market", ["golden", "block"])
     def test_agrees_with_split_at_large_e(self, market, example_stable):
