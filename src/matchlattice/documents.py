@@ -330,8 +330,8 @@ def generate_responsive_market(
     several stable matchings), dense random priorities, and sparse random
     priorities where some agents find nobody acceptable.
     """
-    if max_quota < 1:
-        raise ValidationError("max_quota must be at least 1")
+    if any(type(n) is not int or n < 1 for n in (num_firms, num_workers, max_quota)):
+        raise ValidationError("num_firms, num_workers and max_quota must each be an int of at least 1")
     rng = random.Random(seed)
     firms = tuple(f"f{i + 1}" for i in range(num_firms))
     workers = tuple(f"w{j + 1}" for j in range(num_workers))

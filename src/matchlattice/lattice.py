@@ -182,23 +182,50 @@ class StableSet:
         return self.matchings[reduce(self.meet, range(len(self)))]
 
 
-def _deferred_acceptance(proposers, receivers) -> tuple[int, ...]:
-    """Proposer-optimal stable matching, as one mask of receivers per proposer.
+def _propose(proposers, receivers, available, offers, held, pending, phantom=None) -> bool:
+    """Deferred acceptance one event at a time, in place, from any state: the
+    one loop of :func:`_deferred_acceptance` and :func:`_break`.  A pending
+    proposer chooses from ``available`` and offers to the receivers it added;
+    each chooses from its ``held`` plus the offer, and each one it drops loses
+    it and is pending again.  Returns whether ``phantom``, a (receiver,
+    proposer) pair the proposer already lost, was dropped.  Choice is path
+    independent under substitutability plus LAD (Aygun and Sonmez 2013), so
+    a receiver that drops a proposer beside what it holds drops it beside
+    more: no receiver is screened out in advance.  The tests check this;
+    they do not prove it."""
+    broken = False
+    while pending:
+        g = pending.pop()
+        chosen = proposers[g].choice_mask(available[g])
+        added, offers[g] = chosen & ~offers[g], chosen
+        while added:
+            bit = added & -added
+            added ^= bit
+            x = bit.bit_length() - 1
+            pool = held[x] | 1 << g
+            held[x] = receivers[x].choice_mask(pool)
+            dropped = pool & ~held[x]
+            while dropped:
+                gone = dropped & -dropped
+                dropped ^= gone
+                h = gone.bit_length() - 1
+                if (x, h) == phantom:
+                    broken = True  # h already lost x
+                    continue
+                available[h] &= ~bit
+                offers[h] &= ~bit
+                pending.append(h)
+    return broken
 
-    Each proposer offers its choice among the receivers that have not yet
-    rejected it; each receiver keeps its choice among the offers and rejects
-    the rest.  Under substitutability a rejected offer is never part of a
-    stable matching, so when a round rejects nothing the offers are the
-    proposers' optimal stable matching (Roth 1984; Hatfield and Milgrom 2005).
-    """
-    available = [(1 << len(receivers)) - 1] * len(proposers)
-    while True:
-        offers = tuple(pref.choice_mask(mask) for pref, mask in zip(proposers, available))
-        received = _transpose(offers, len(receivers))
-        refused = [mask & ~pref.choice_mask(mask) for pref, mask in zip(receivers, received)]
-        if not any(refused):
-            return offers
-        available = [mask & ~lost for mask, lost in zip(available, _transpose(refused, len(proposers)))]
+
+def _deferred_acceptance(proposers, receivers) -> tuple[int, ...]:
+    """Proposer-optimal stable matching, as one mask of receivers per proposer:
+    :func:`_propose` from the empty matching, every proposer pending (Roth
+    1984; Hatfield and Milgrom 2005)."""
+    n, everyone = len(proposers), (1 << len(receivers)) - 1
+    offers = [0] * n
+    _propose(proposers, receivers, [everyone] * n, offers, [0] * len(receivers), list(range(n)))
+    return tuple(offers)
 
 
 def _screened(firm_masks: tuple[int, ...], market: Market) -> Matching:
@@ -210,41 +237,16 @@ def _screened(firm_masks: tuple[int, ...], market: Market) -> Matching:
     return matching
 
 
-def _break(market: Market, mu: Matching, willing: list[int], f: int, w: int) -> Optional[tuple[int, ...]]:
+def _break(market: Market, mu: Matching, f: int, w: int) -> Optional[tuple[int, ...]]:
     """Firm rows of the greatest stable matching below ``mu`` without (f, w),
-    or ``None``: deferred acceptance restarted from ``mu`` one event at a
-    time.  f loses w, and w keeps f as a phantom.  A firm whose available set
-    shrank re-chooses and offers to the workers it added; each chooses from
-    what it holds plus the offer, and every firm it drops loses it and
-    re-chooses.  Firm g offers only to ``willing[g]``, the workers that would
-    keep g beside their ``mu``-partners.  The break succeeds if w ever
-    chooses without f."""
-    firm_prefs, worker_prefs = market.firm_prefs, market.worker_prefs
-    available, offers, held = list(willing), list(mu.firm_masks), list(mu.worker_masks)
+    or ``None``: :func:`_propose` restarted from ``mu``.  Every firm starts
+    with every worker available, f loses w, and w keeps f as the phantom.
+    The break succeeds if w ever chooses without f."""
+    offers, held = list(mu.firm_masks), list(mu.worker_masks)
+    available = [(1 << market.num_workers) - 1] * market.num_firms
     available[f] ^= 1 << w
     offers[f] ^= 1 << w
-    broken, pending = False, [f]
-    while pending:
-        g = pending.pop()
-        chosen = firm_prefs[g].choice_mask(available[g])
-        added, offers[g] = chosen & ~offers[g], chosen
-        while added:
-            bit = added & -added
-            added ^= bit
-            x = bit.bit_length() - 1
-            pool = held[x] | 1 << g
-            held[x] = worker_prefs[x].choice_mask(pool)
-            dropped = pool & ~held[x]
-            while dropped:
-                gone = dropped & -dropped
-                dropped ^= gone
-                h = gone.bit_length() - 1
-                if x == w and h == f:
-                    broken = True  # the phantom: f already lost w
-                    continue
-                available[h] &= ~bit
-                offers[h] &= ~bit
-                pending.append(h)
+    broken = _propose(market.firm_prefs, market.worker_prefs, available, offers, held, [f], (w, f))
     return tuple(offers) if broken else None
 
 
@@ -265,20 +267,14 @@ def _walk(market: Market, top: tuple[int, ...], bottom: tuple[int, ...]) -> list
       monotone choice (Faenza and Zhang 2022); the tests check it against
       two independent enumerations rather than prove it here.
     """
-    worker_prefs = market.worker_prefs
     members, seen = [_screened(top, market)], {top}
     for mu in members:  # grows as the walk goes: breadth-first
-        cols = mu.worker_masks
-        willing = [
-            sum(1 << x for x, pref in enumerate(worker_prefs) if pref.choice_mask(cols[x] | 1 << g) >> g & 1)
-            for g in range(market.num_firms)
-        ]
         for f, row in enumerate(mu.firm_masks):
             pairs = row & ~bottom[f]
             while pairs:
                 bit = pairs & -pairs
                 pairs ^= bit
-                rows = _break(market, mu, willing, f, bit.bit_length() - 1)
+                rows = _break(market, mu, f, bit.bit_length() - 1)
                 if rows is not None and rows not in seen:
                     seen.add(rows)
                     members.append(_screened(rows, market))

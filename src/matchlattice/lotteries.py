@@ -21,10 +21,10 @@ On canonical forms the package provides
   :data:`LCM_SLICE_GUARD` slices);
 * :func:`dominates` -- the stochastic-dominance order, per agent or per
   side: a side's verdict is read off the two profiles over J (p_x >= p_y
-  pointwise for the firms, p_x <= p_y for the workers), an agent's is
-  decided termwise on the split;
-* :func:`split_dominates` -- the weak half for a side, decided termwise on
-  the split: the reference the profile verdict is tested against;
+  pointwise for the firms, p_x <= p_y for the workers) and checked against
+  the paper's termwise fold, ``termwise_side_cmp`` in ``tests/oracles.py``;
+  an agent's is decided termwise on the split;
+* :func:`split_dominates` -- the forward half of a side's verdict;
 * :func:`join_random` / :func:`meet_random` -- least upper bound and
   greatest lower bound for a side: the sweep of the pointwise max or min of
   the two profiles over J, or termwise over the lcm refinement.
@@ -35,7 +35,7 @@ integer counts over J and the peel subtracts integer cell counts; both
 refinements are a :class:`SplitAlignment` of integer slice counts, and the
 rural-hospital check compares cross-multiplied cell counts.  Side dominance,
 join and meet compare or combine two integer profiles scaled to the lcm of
-the denominators, and termwise dominance adds no weights at all.  A
+the denominators, and agent dominance adds no weights at all.  A
 :class:`~fractions.Fraction` is made per weight or trace value read; no
 tolerance is used anywhere.
 """
@@ -522,20 +522,6 @@ def _require_side(who: object, agent_allowed: bool = False) -> None:
     raise ValidationError(f"expected {wanted}, got a {type(who).__name__}", code="bad-side")
 
 
-def _aligned_cmp(alignment: SplitAlignment, market: Market, who: Union[Side, AgentId]) -> Cmp:
-    """The order kernel folded once over every (aligned slice, agent) pair:
-    how the left matchings stand to the right ones for ``who``, each agent
-    on a side or one agent, taken as a side of one."""
-    if isinstance(who, AgentId):
-        prefs, side, agents = (market.pref(who),), who.side, slice(who.index, who.index + 1)
-    else:
-        prefs, side, agents = market.prefs(who), who, slice(None)
-    left, right = (
-        chain.from_iterable(m.masks(side)[agents] for m in ms) for ms in (alignment.left, alignment.right)
-    )
-    return _compare_pointwise(prefs * len(alignment), left, right)
-
-
 #: Each outcome of the folded kernel as a dominance verdict.
 _VERDICT = {Cmp.GREATER: Dominance.STRONGLY_DOMINATES, Cmp.EQUAL: Dominance.EQUAL,
             Cmp.LESS: Dominance.STRONGLY_DOMINATED, Cmp.INCOMPARABLE: Dominance.INCOMPARABLE}
@@ -566,10 +552,11 @@ def dominates(x: Lottery, y: Lottery, stable_set: StableSet, who: Union[Side, Ag
     the lcm of the denominators; a lottery has the profile of its canonical
     form, so neither is decomposed.  ``x`` weakly dominates for the firms
     iff p_x >= p_y at every j, and for the workers iff p_x <= p_y.  This is
-    the termwise fold of :func:`split_dominates`, the reference, taken both
-    ways: cut into unit slices, the level-t member of a canonical form has
-    the down-set {j : p(j) >= t}; one member is at least another for the
-    firms iff its down-set holds the other's, and the workers' order is the
+    the paper's termwise fold over the split, taken both ways, which
+    ``termwise_side_cmp`` in ``tests/oracles.py`` keeps as the reference:
+    cut into unit slices, the level-t member of a canonical form has the
+    down-set {j : p(j) >= t}; one member is at least another for the firms
+    iff its down-set holds the other's, and the workers' order is the
     reverse.  So every slice favours ``x`` iff each level set of p_x holds
     that of p_y.  The tests check this equality; they do not prove it.  A
     stable set that is not the down-set lattice of its J is refused
@@ -577,7 +564,10 @@ def dominates(x: Lottery, y: Lottery, stable_set: StableSet, who: Union[Side, Ag
     """
     _require_side(who, agent_allowed=True)
     if isinstance(who, AgentId):
-        return _VERDICT[_aligned_cmp(_refined(x, y, stable_set), stable_set.market, who)]
+        alignment = _refined(x, y, stable_set)
+        pref, side, k = stable_set.market.pref(who), who.side, who.index
+        left, right = ([m.masks(side)[k] for m in ms] for ms in (alignment.left, alignment.right))
+        return _VERDICT[_compare_pointwise(repeat(pref), left, right)]
     _, (px, py) = _profiles(stable_set, x, y)
     forward, backward = all(map(ge, px, py)), all(map(le, px, py))
     if who is Side.WORKERS:
@@ -588,13 +578,10 @@ def dominates(x: Lottery, y: Lottery, stable_set: StableSet, who: Union[Side, Ag
 
 
 def split_dominates(x: Lottery, y: Lottery, stable_set: StableSet, side: Side) -> bool:
-    """True iff ``x`` weakly dominates ``y`` for ``side``: every aligned pair
-    of the split of their decreasing representations weakly favours ``x``
-    (the forward half of :func:`dominates`).  It stays termwise and is the
-    reference that the profile verdict of side :func:`dominates` is tested
-    against."""
+    """True iff ``x`` weakly dominates ``y`` for ``side``: the forward half of
+    side :func:`dominates`, read off the same two profiles over J."""
     _require_side(side)
-    return _aligned_cmp(_refined(x, y, stable_set), stable_set.market, side).at_least
+    return dominates(x, y, stable_set, side).weakly_dominates
 
 
 def _combine_termwise(

@@ -13,8 +13,8 @@ one at a time from them, screening with ``find_blocking``.  The firms'
 covering pairs are read off every triple of the order.  The two preference
 axioms are searched over every pair of an offer and a sub-offer.  The
 decreasing decomposition follows the paper's literal rescaling recurrence on
-Fraction grids, and stochastic dominance is the literal sum of its
-inequalities.
+Fraction grids, stochastic dominance is the literal sum of its inequalities,
+and a side's dominance verdict is the termwise fold over the split.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import reduce
 from itertools import chain, combinations, product
 from operator import or_
 
-from matchlattice import Cmp, Market, Matching, RankedPreference, ResponsivePreference, find_blocking
+from matchlattice import Cmp, Market, Matching, RankedPreference, ResponsivePreference, Side, find_blocking
 from matchlattice.prefs import mask_subset
 
 
@@ -328,6 +328,29 @@ def dominance_sums_oracle(cx, cy, pref, assigned) -> bool:
         )
 
     return all(mass_at_least(cx, assigned(m)) >= mass_at_least(cy, assigned(m)) for _, m in cy.terms)
+
+
+def termwise_side_cmp(alignment, market: Market, side: Side) -> Cmp:
+    """How the left matchings of an alignment stand to the right ones for a
+    whole side, by the paper's termwise fold: every agent on the side votes
+    on every aligned pair with the literal choice criterion, and the side
+    agrees only if no two votes conflict.  Side ``dominates`` reads its
+    verdict off the profiles over J instead and is checked against this."""
+    votes = set()
+    for a, b in zip(alignment.left, alignment.right):
+        for k, pref in enumerate(market.prefs(side)):
+            if side is Side.FIRMS:
+                votes.add(prefers_oracle(pref, a.firm_set(k), b.firm_set(k)))
+            else:
+                votes.add(prefers_oracle(pref, a.worker_set(k), b.worker_set(k)))
+    votes.discard("equal")
+    if not votes:
+        return Cmp.EQUAL
+    if votes == {"greater"}:
+        return Cmp.GREATER
+    if votes == {"less"}:
+        return Cmp.LESS
+    return Cmp.INCOMPARABLE
 
 
 def weak_dominance_oracle(cx, cy, pref, assigned) -> bool:

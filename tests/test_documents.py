@@ -339,3 +339,12 @@ class TestGenerator:
     def test_round_trips_through_json(self):
         doc = generate_responsive_market(11, 4, 3, 2)
         assert parse_market(dump_market(doc)) == doc
+
+    def test_refuses_a_side_or_quota_that_is_not_a_positive_int(self):
+        # Whatever the seed: an empty side used to crash inside the draw on
+        # some seeds and a negative one to return a market.
+        bad = [(0, 3, 2), (3, 0, 2), (-1, 3, 2), (3, 3, 0), (True, 3, 2), (3, 3.0, 2), (3, 3, "2"), (3, 3, True)]
+        for seed in range(6):
+            for num_firms, num_workers, max_quota in bad:
+                with pytest.raises(ValidationError):
+                    generate_responsive_market(seed, num_firms, num_workers, max_quota)

@@ -396,6 +396,21 @@ class TestWalk:
         masks, _ = stable._down_sets()
         assert len(masks) == n - 1
 
+    def test_golden_runs_one_proposal_loop_per_extreme_and_per_break(self, monkeypatch, example_market):
+        # Deferred acceptance from each side, then one break per pair that a
+        # member holds and the bottom lacks: one proposal loop serves them all.
+        calls = []
+
+        def counting(*args, kernel=lattice._propose):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(lattice, "_propose", counting)
+        stable = enumerate_stable(example_market)
+        bottom = stable.firm_pessimal.firm_masks
+        breaks = sum((row & ~low).bit_count() for m in stable for row, low in zip(m.firm_masks, bottom))
+        assert len(calls) == 2 + breaks == 66
+
     def test_an_unstable_break_is_refused_not_dropped(self, monkeypatch, example_market):
         # With every matching but the firm-optimal one reported blocked, the
         # walk must refuse instead of returning fewer members.

@@ -41,7 +41,6 @@ from matchlattice import lotteries as lottery_module
 from matchlattice.lotteries import (
     _VERDICT,
     LCM_SLICE_GUARD,
-    _aligned_cmp,
     _combine_termwise,
     _merge_runs,
     _refined,
@@ -55,7 +54,13 @@ from conftest import (
     mixed_market,
     random_lottery,
 )
-from oracles import decompose_oracle, dominance_sums_oracle, expectation_oracle, weak_dominance_oracle
+from oracles import (
+    decompose_oracle,
+    dominance_sums_oracle,
+    expectation_oracle,
+    termwise_side_cmp,
+    weak_dominance_oracle,
+)
 
 
 def fr(text):
@@ -432,8 +437,8 @@ class TestDecomposeSweep:
     def test_sub_stable_sets_refuse_or_agree_with_the_peel(self, request, build):
         # Dropping members can break the lattice.  The peel closes its pool
         # with joins and meets, so it answers only where the down-set index
-        # is accepted, and there the sweep answers the same.  Where the index
-        # is refused, the sweep answers only a lottery that already descends.
+        # is accepted, and there the sweep answers the same.  The sweep reads
+        # the index on every call, so it never answers where the peel refuses.
         if build is None:
             stable = request.getfixturevalue("example_stable")
         else:
@@ -456,12 +461,11 @@ class TestDecomposeSweep:
                     assert swept.expectation() == x.expectation()
                     outcomes["agree"] += 1
                 elif isinstance(swept, Lottery):
-                    assert is_decreasing(x, market) and swept == x
                     outcomes["peel-refuses"] += 1
                 else:
                     assert swept == peeled == "not-in-stable-set"
                     outcomes["both-refuse"] += 1
-        assert outcomes["agree"] > 0, outcomes
+        assert outcomes["agree"] > 0 and outcomes["peel-refuses"] == 0, outcomes
 
     @pytest.mark.parametrize("build", [None, (3, 2), (2, 2, 2), (4, 4, 4)],
                              ids=["golden", "block-3+2", "block-2+2+2", "latin-4^3"])
@@ -661,6 +665,7 @@ class TestDominance:
 
     def test_split_dominance_equals_dominance(self, canonical_x, canonical_y, example_stable):
         top = join_random(canonical_x, canonical_y, example_stable, Side.FIRMS)
+        market = example_stable.market
         for a, b in [
             (canonical_x, canonical_y),
             (top, canonical_x),
@@ -668,9 +673,8 @@ class TestDominance:
             (top, canonical_y),
         ]:
             for side in Side:
-                assert split_dominates(a, b, example_stable, side) == dominates(
-                    a, b, example_stable, side
-                ).weakly_dominates
+                fold = _VERDICT[termwise_side_cmp(_refined(a, b, example_stable), market, side)]
+                assert split_dominates(a, b, example_stable, side) == fold.weakly_dominates
 
 
 @pytest.mark.parametrize(
@@ -759,8 +763,9 @@ class TestDominanceOracle:
 
 class TestSideProfileDominance:
     """Side ``dominates`` reads its verdict off the profiles over J; it must
-    equal the termwise fold of the order kernel over the split, and its weak
-    half ``split_dominates``, for both sides and every ordered pair."""
+    equal the paper's termwise fold over the split (``termwise_side_cmp`` in
+    ``tests/oracles.py``), and ``split_dominates`` must equal the fold's weak
+    half, for both sides and every ordered pair."""
 
     @staticmethod
     def lotteries(stable, rng):
@@ -800,11 +805,28 @@ class TestSideProfileDominance:
             for x, y in itertools.product(inputs, repeat=2):
                 alignment = _refined(x, y, stable)
                 for side in Side:
+                    fold = _VERDICT[termwise_side_cmp(alignment, market, side)]
                     verdict = dominates(x, y, stable, side)
-                    assert verdict is _VERDICT[_aligned_cmp(alignment, market, side)], (x, y, side)
-                    assert verdict.weakly_dominates == split_dominates(x, y, stable, side), (x, y, side)
+                    assert verdict is fold, (x, y, side)
+                    assert split_dominates(x, y, stable, side) == fold.weakly_dominates, (x, y, side)
                     seen.add(verdict)
         assert seen == set(Dominance)
+
+    def test_split_dominates_reads_the_two_profiles_once(
+        self, monkeypatch, raw_x, canonical_x, canonical_y, example_stable
+    ):
+        calls = []
+        for name in ("_profiles", "decompose", "_refined", "_aligned"):
+            def counting(*args, name=name, kernel=getattr(lottery_module, name)):
+                calls.append(name)
+                return kernel(*args)
+
+            monkeypatch.setattr(lottery_module, name, counting)
+        for x, y in itertools.product((raw_x, canonical_x, canonical_y), repeat=2):
+            for side in Side:
+                calls.clear()
+                split_dominates(x, y, example_stable, side)
+                assert calls == ["_profiles"], (x, y, side)
 
     def test_refuses_a_set_that_lacks_the_join_of_two_members(self, example_stable):
         # The bottom and two incomparable members just above it are not
