@@ -176,22 +176,23 @@ def parse_market(data: Union[str, bytes]) -> MarketDocument:
     _known_keys(raw, {"firms", "workers", "preferences"}, "$")
     firms = _name_list(_need(raw, "firms", list, "$"), "$.firms")
     workers = _name_list(_need(raw, "workers", list, "$"), "$.workers")
-    overlap = set(firms) & set(workers)
+    firm_names, worker_names = set(firms), set(workers)
+    overlap = firm_names & worker_names
     if overlap:
         raise _fail("$", f"names on both sides: {sorted(overlap)}", "duplicate-name")
 
     raw_prefs = _need(raw, "preferences", dict, "$")
-    known = set(firms) | set(workers)
+    known = firm_names | worker_names
     for name in raw_prefs:
         if name not in known:
             raise _fail("$.preferences", f"unknown agent {name!r}", "unknown-agent")
     preferences: dict[str, PrefSpec] = {}
-    for name in list(firms) + list(workers):
+    for name in firms + workers:
         path = f"$.preferences.{name}"
         if name not in raw_prefs:
             raise _fail(path, "missing preference entry", "schema")
-        opposite = workers if name in set(firms) else firms
-        preferences[name] = _parse_pref(raw_prefs[name], path, set(opposite))
+        opposite = worker_names if name in firm_names else firm_names
+        preferences[name] = _parse_pref(raw_prefs[name], path, opposite)
 
     return MarketDocument(firms, workers, preferences)
 

@@ -25,13 +25,12 @@ greatest lower bound in the firms' common partial order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
+from functools import cached_property, reduce
 from typing import Iterable, Optional
 
 from .errors import AxiomError, CapacityError, ValidationError
 from .matchings import Matching, _transpose, find_blocking
-from .prefs import Cmp, Market, Side, _compare_pointwise, mask_subset, profile_violations
+from .prefs import Cmp, Market, Side, _compare_pointwise, profile_violations
 
 #: Largest market (firm count times worker count) the enumerator accepts.
 ENUMERATION_GUARD = 25
@@ -101,30 +100,47 @@ def meet_f(m1: Matching, m2: Matching, market: Market) -> Matching:
     return multi_meet_f((m1, m2), market)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StableSet:
-    """All stable matchings of a market, with the firms' order materialised.
+    """All stable matchings of a market, with the firms' order stored once.
 
     ``matchings`` is sorted by firm-assignment encoding, so the listing is
-    deterministic.  ``firm_table[i][j]`` compares matching ``i`` against
-    matching ``j`` in the firms' common partial order; it is built once here
-    for :func:`hasse_edges` and for the decreasing-form check of
-    lottery joins and meets.  The members' down-sets over J
-    (:meth:`_down_sets`) are built from it and checked when first needed; every
-    join and meet, and every lottery profile, is read off them.  A set whose
-    held down-sets are not exactly the down-sets of J, or with a cover that
-    does not change the cells of its member of J, refuses them all
+    deterministic.  The order is one bitmask per member, ``_below[i]``: bit
+    ``j`` is set when member ``j`` lies strictly below member ``i`` for the
+    firms.  :func:`enumerate_stable` builds these masks from the walk's own
+    breaks; ``StableSet(market, matchings, firm_table)`` reads them off a
+    table of :class:`Cmp`, taking ``GREATER`` cells as the strict order.
+    :meth:`cmp_f`, :func:`hasse_edges` and the members' down-sets over J
+    (:meth:`_down_sets`) read the masks; ``firm_table`` is derived from them
+    on first read.  The down-sets over J are checked when first needed, and
+    every join and meet, and every lottery profile, is read off them.  A set
+    whose held down-sets are not exactly the down-sets of J, or with a cover
+    that does not change the cells of its member of J, refuses them all
     (not-in-stable-set).
     """
 
     market: Market
     matchings: tuple[Matching, ...]
-    firm_table: tuple[tuple[Cmp, ...], ...]
-    _positions: dict = field(init=False, compare=False, repr=False)
-    _profile: tuple = field(init=False, compare=False, repr=False, default=None)
+    _below: tuple[int, ...] = field(repr=False)
+    _positions: dict = field(compare=False, repr=False)
+    _profile: tuple = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_positions", {m: i for i, m in enumerate(self.matchings)})
+    def __init__(self, market: Market, matchings: Iterable[Matching], firm_table):
+        below = tuple(sum(1 << j for j, cell in enumerate(row) if cell is Cmp.GREATER) for row in firm_table)
+        self._hold(market, tuple(matchings), below)
+
+    @classmethod
+    def _ordered(cls, market: Market, matchings: tuple[Matching, ...], below: tuple[int, ...]) -> "StableSet":
+        """A stable set built straight from its strict down-set masks: no table."""
+        stable_set = object.__new__(cls)
+        stable_set._hold(market, matchings, below)
+        return stable_set
+
+    def _hold(self, market: Market, matchings: tuple[Matching, ...], below: tuple[int, ...]) -> None:
+        positions = {m: i for i, m in enumerate(matchings)}
+        self.__dict__.update(
+            market=market, matchings=matchings, _below=below, _positions=positions, _profile=None
+        )
 
     def __len__(self) -> int:
         return len(self.matchings)
@@ -150,7 +166,19 @@ class StableSet:
         return f"m{index + 1}"
 
     def cmp_f(self, i: int, j: int) -> Cmp:
-        return self.firm_table[i][j]
+        """Member i against member j in the firms' order, read off two bits."""
+        below = self._below
+        if below[i] >> j & 1:
+            return Cmp.GREATER
+        if below[j] >> i & 1:
+            return Cmp.LESS
+        return Cmp.EQUAL if i == j else Cmp.INCOMPARABLE
+
+    @cached_property
+    def firm_table(self) -> tuple[tuple[Cmp, ...], ...]:
+        """``firm_table[i][j]`` is :meth:`cmp_f` of i and j, built on first read."""
+        members = range(len(self))
+        return tuple(tuple(self.cmp_f(i, j) for j in members) for i in members)
 
     def join(self, i: int, j: int) -> int:
         """Position of the firm-side join (the workers' meet) of members i and
@@ -182,7 +210,7 @@ class StableSet:
         return self.matchings[reduce(self.meet, range(len(self)))]
 
 
-def _propose(proposers, receivers, available, offers, held, pending, phantom=None) -> bool:
+def _propose(proposers, receivers, available, offers, held, pending, phantom=(-1, -1)) -> bool:
     """Deferred acceptance one event at a time, in place, from any state: the
     one loop of :func:`_deferred_acceptance` and :func:`_break`.  A pending
     proposer chooses from ``available`` and offers to the receivers it added;
@@ -193,6 +221,7 @@ def _propose(proposers, receivers, available, offers, held, pending, phantom=Non
     a receiver that drops a proposer beside what it holds drops it beside
     more: no receiver is screened out in advance.  The tests check this;
     they do not prove it."""
+    lost_by, lost = phantom
     broken = False
     while pending:
         g = pending.pop()
@@ -209,7 +238,7 @@ def _propose(proposers, receivers, available, offers, held, pending, phantom=Non
                 gone = dropped & -dropped
                 dropped ^= gone
                 h = gone.bit_length() - 1
-                if (x, h) == phantom:
+                if h == lost and x == lost_by:
                     broken = True  # h already lost x
                     continue
                 available[h] &= ~bit
@@ -250,11 +279,13 @@ def _break(market: Market, mu: Matching, f: int, w: int) -> Optional[tuple[int, 
     return tuple(offers) if broken else None
 
 
-def _walk(market: Market, top: tuple[int, ...], bottom: tuple[int, ...]) -> list[Matching]:
+def _walk(market: Market, top: tuple[int, ...], bottom: tuple[int, ...]) -> tuple[list[Matching], list[int]]:
     """Every stable matching, breadth-first down from the firm rows ``top``
     of the firm-optimal one, breaking at each member mu every pair that the
     worker-optimal ``bottom`` lacks (:func:`_break`, the many-to-many form
-    of Gusfield and Irving's breakmarriage, 1989).  It relies on three facts:
+    of Gusfield and Irving's breakmarriage, 1989), and for each member the
+    walk positions its successful breaks returned, as a bitmask, already
+    seen members included.  It relies on three facts:
 
     * the pairs mu shares with ``bottom`` lie in every member between them:
       if (f, w) is in mu and in ``bottom`` and mu >= nu >= ``bottom``, then f
@@ -266,19 +297,68 @@ def _walk(market: Market, top: tuple[int, ...], bottom: tuple[int, ...]) -> list
       is the rotation structure of substitutable, consistent, cardinally
       monotone choice (Faenza and Zhang 2022); the tests check it against
       two independent enumerations rather than prove it here.
+
+    So every break result lies strictly below its member, and every lower
+    cover is one: the results generate the firms' order (:func:`_closure`).
     """
-    members, seen = [_screened(top, market)], {top}
+    members, position = [_screened(top, market)], {top: 0}
+    reached = []
     for mu in members:  # grows as the walk goes: breadth-first
+        children = 0
         for f, row in enumerate(mu.firm_masks):
             pairs = row & ~bottom[f]
             while pairs:
                 bit = pairs & -pairs
                 pairs ^= bit
                 rows = _break(market, mu, f, bit.bit_length() - 1)
-                if rows is not None and rows not in seen:
-                    seen.add(rows)
+                if rows is None:
+                    continue
+                k = position.get(rows)
+                if k is None:
+                    k = position[rows] = len(members)
                     members.append(_screened(rows, market))
-    return members
+                children |= 1 << k
+        reached.append(children)
+    return members, reached
+
+
+def _closure(children: list[int]) -> tuple[int, ...]:
+    """Each member's strict down-set as a bitmask, from the members its
+    breaks returned: below(mu) is the union over children c of below(c) and
+    c.  This is the firms' order only by the break lemma of :func:`_walk`
+    (each result lies strictly below its member, each lower cover is a
+    result), which the tests check against the pairwise comparison and do
+    not prove.  A depth-first loop keeps each member open, on the path or
+    closed; a member that reaches itself is a cycle, refused (not-stable)
+    instead of returned as a partial order."""
+    below, state = [0] * len(children), [0] * len(children)  # 0 open, 1 on the path, 2 closed
+    left = list(children)
+    for root in range(len(children)):
+        if state[root]:
+            continue
+        state[root], path = 1, [root]
+        while path:
+            mu = path[-1]
+            rest = left[mu]
+            while rest:
+                bit = rest & -rest
+                c = bit.bit_length() - 1
+                if state[c] != 2:
+                    break
+                below[mu] |= below[c] | bit
+                rest ^= bit
+            left[mu] = rest
+            if not rest:
+                state[mu] = 2
+                path.pop()
+            elif state[c]:
+                raise ValidationError(
+                    "the walk's breaks do not descend: a member lies below itself", code="not-stable"
+                )
+            else:
+                state[c] = 1
+                path.append(c)
+    return tuple(below)
 
 
 def enumerate_stable(market: Market) -> StableSet:
@@ -304,15 +384,20 @@ def enumerate_stable(market: Market) -> StableSet:
 
     top = _deferred_acceptance(market.firm_prefs, market.worker_prefs)
     bottom = _transpose(_deferred_acceptance(market.worker_prefs, market.firm_prefs), market.num_firms)
-    found = _walk(market, top, bottom)
-    found.sort(key=lambda m: m.firm_masks)
-    # One comparison per unordered pair; the mirror cell is its flip.
-    table = [[Cmp.EQUAL] * len(found) for _ in found]
-    for i, a in enumerate(found):
-        for j in range(i + 1, len(found)):
-            table[i][j] = compare_firms(a, found[j], market)
-            table[j][i] = table[i][j].flipped
-    return StableSet(market, tuple(found), tuple(map(tuple, table)))
+    found, reached = _walk(market, top, bottom)
+    order = sorted(range(len(found)), key=lambda k: found[k].firm_masks)
+    rank = [0] * len(found)
+    for r, k in enumerate(order):
+        rank[k] = r
+    children = []
+    for k in order:  # the break results, renumbered to sorted positions
+        mask, rest = 0, reached[k]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            mask |= 1 << rank[bit.bit_length() - 1]
+        children.append(mask)
+    return StableSet._ordered(market, tuple(found[k] for k in order), _closure(children))
 
 
 def rht_check(stable_set: StableSet) -> bool:
@@ -328,17 +413,22 @@ def hasse_edges(stable_set: StableSet) -> tuple[tuple[int, int], ...]:
     """Covering pairs of the firms' order: the transitive reduction,
     as (higher index, lower index) pairs in ascending order.
 
-    The covers of i are the maximal elements of its strict down-set: the j
-    below i that lie below no other k below i.
+    The covers of i are the maximal elements of its strict down-set mask:
+    the j below i that lie below no other k below i.
     """
-    below = [
-        sum(1 << j for j, relation in enumerate(row) if relation is Cmp.GREATER)
-        for row in stable_set.firm_table
-    ]
+    below = stable_set._below
     edges = []
     for i, down in enumerate(below):
-        covers = down & ~reduce(or_, (below[k] for k in mask_subset(down)), 0)
-        edges.extend((i, j) for j in sorted(mask_subset(covers)))
+        implied, rest = 0, down
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            implied |= below[bit.bit_length() - 1]
+        covers = down & ~implied
+        while covers:
+            bit = covers & -covers
+            covers ^= bit
+            edges.append((i, bit.bit_length() - 1))
     return tuple(edges)
 
 
@@ -361,8 +451,8 @@ def _profile_index(stable_set: StableSet) -> tuple[tuple[int, ...], dict[int, in
         lower[i].append(k)
     irreducibles = [i for i, covers in enumerate(lower) if len(covers) == 1]
     masks = tuple(
-        sum(1 << b for b, j in enumerate(irreducibles) if row[j].at_least)
-        for row in stable_set.firm_table
+        sum(1 << b for b, j in enumerate(irreducibles) if (down | 1 << i) >> j & 1)
+        for i, down in enumerate(stable_set._below)
     )
     position = {mask: k for k, mask in enumerate(masks)}
 

@@ -172,14 +172,17 @@ def find_blocking(matching: Matching, market: Market) -> Optional[BlockingWitnes
         for index, (pref, mask) in enumerate(zip(market.prefs(side), matching.masks(side))):
             if pref.choice_mask(mask) != mask:
                 return AgentId(side, index)
-    for i, fpref in enumerate(market.firm_prefs):
-        fmask = matching.firm_masks[i]
-        for j, wpref in enumerate(market.worker_prefs):
-            if fmask >> j & 1:
+    everyone = (1 << market.num_workers) - 1
+    worker_prefs, worker_masks = market.worker_prefs, matching.worker_masks
+    for i, (fpref, fmask) in enumerate(zip(market.firm_prefs, matching.firm_masks)):
+        outside = everyone & ~fmask  # the workers not in firm i's row, in ascending order
+        while outside:
+            bit = outside & -outside
+            outside ^= bit
+            if not fpref.choice_mask(fmask | bit) & bit:
                 continue
-            if not fpref.choice_mask(fmask | (1 << j)) >> j & 1:
-                continue
-            if wpref.choice_mask(matching.worker_masks[j] | (1 << i)) >> i & 1:
+            j = bit.bit_length() - 1
+            if worker_prefs[j].choice_mask(worker_masks[j] | 1 << i) >> i & 1:
                 return (AgentId(Side.FIRMS, i), AgentId(Side.WORKERS, j))
     return None
 

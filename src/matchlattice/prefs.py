@@ -19,8 +19,8 @@ repeat the same choice queries.
 The two axioms that make the stable set a lattice -- substitutability and
 the law of aggregated demand (LAD) -- are checked in their one-removal
 forms: every offer against each offer with one partner fewer, ``n * 2**n``
-memoised choice calls for ``n`` opposite-side agents, within the budget
-that :data:`AXIOM_GUARD` sets.  Responsive preferences satisfy both by
+lookups in a table of the ``2**n`` memoised choices for ``n`` opposite-side
+agents, within the budget that :data:`AXIOM_GUARD` sets.  Responsive preferences satisfy both by
 construction and are not searched.
 """
 
@@ -188,7 +188,7 @@ class RankedPreference(Preference):
     the first listed subset contained in it, or the empty set.
     """
 
-    __slots__ = ("ranking", "_rank_masks")
+    __slots__ = ("_rank_masks",)
 
     def __init__(self, owner: AgentId, n_opposite: int, ranking: Iterable[Iterable[int]]):
         super().__init__(owner, n_opposite)
@@ -209,7 +209,10 @@ class RankedPreference(Preference):
             seen.add(mask)
             masks.append(mask)
         self._rank_masks = tuple(masks)
-        self.ranking = tuple(mask_subset(m) for m in masks)
+
+    @property
+    def ranking(self) -> tuple[frozenset[int], ...]:
+        return tuple(mask_subset(m) for m in self._rank_masks)
 
     def _choice_mask(self, mask: int) -> int:
         for candidate in self._rank_masks:
@@ -218,7 +221,7 @@ class RankedPreference(Preference):
         return 0
 
     def __repr__(self) -> str:
-        return f"RankedPreference({self.owner}, {len(self.ranking)} subsets)"
+        return f"RankedPreference({self.owner}, {len(self._rank_masks)} subsets)"
 
 
 class ResponsivePreference(Preference):
@@ -281,14 +284,14 @@ def substitutability_violation(
     Hatfield and Milgrom 2005).
     """
     _guard(pref, "substitutability")
-    choice = pref.choice_mask
-    for offer in range(1, 1 << pref.n_opposite):
-        chosen = choice(offer)
+    choice = list(map(pref.choice_mask, range(1 << pref.n_opposite)))  # by offer mask
+    for offer in range(1, len(choice)):
+        chosen = choice[offer]
         rest = offer
         while rest:
             low = rest & -rest
             rest ^= low
-            lost = chosen & ~low & ~choice(offer ^ low)
+            lost = chosen & ~low & ~choice[offer ^ low]
             if lost:
                 member = (lost & -lost).bit_length() - 1
                 return (mask_subset(offer), mask_subset(offer ^ low), member)
@@ -303,14 +306,14 @@ def lad_violation(pref: Preference) -> Optional[tuple[frozenset[int], frozenset[
     monotone in the offer, which follows along chains of removals.
     """
     _guard(pref, "law-of-aggregated-demand")
-    choice = pref.choice_mask
-    for offer in range(1, 1 << pref.n_opposite):
-        size = choice(offer).bit_count()
+    choice = list(map(pref.choice_mask, range(1 << pref.n_opposite)))  # by offer mask
+    for offer in range(1, len(choice)):
+        size = choice[offer].bit_count()
         rest = offer
         while rest:
             low = rest & -rest
             rest ^= low
-            if choice(offer ^ low).bit_count() > size:
+            if choice[offer ^ low].bit_count() > size:
                 return (mask_subset(offer), mask_subset(offer ^ low))
     return None
 

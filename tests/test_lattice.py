@@ -100,6 +100,14 @@ def responsive_market(seed, size, quota):
     )
 
 
+def oracle_extremes(members, market):
+    """The firms' greatest and least of ``members`` by the literal choice
+    criterion, each as a one-element list."""
+    top = [m for m in members if all(firm_at_least_oracle(m, o, market) for o in members)]
+    bottom = [m for m in members if all(firm_at_least_oracle(o, m, market) for o in members)]
+    return top, bottom
+
+
 def extremes(market):
     """The firm-proposing and the worker-proposing deferred-acceptance matchings."""
     nf, nw = market.shape
@@ -167,7 +175,9 @@ class TestBracketedEnumeration:
     """The walk from the firm-optimal to the worker-optimal matching: its
     members, their order and the firm table against the unpruned product of
     individually rational rows (``enumerate_product_oracle`` in
-    ``tests/oracles.py``), and its two ends against deferred acceptance."""
+    ``tests/oracles.py``), and deferred acceptance against that product's
+    extremes: the walk starts from deferred acceptance, so its own ends
+    cannot check it."""
 
     def test_corpus_matches_product_oracle(self, corpus):
         for case in corpus:
@@ -197,16 +207,22 @@ class TestBracketedEnumeration:
         assert list(stable.matchings) == expected
         assert stable.firm_table == firm_table_oracle(expected, market)
 
-    def test_deferred_acceptance_gives_the_extremes_on_golden(self, example_market, example_stable, nus):
+    def test_deferred_acceptance_gives_the_extremes_on_golden(self, example_market, nus):
         firm_side, worker_side = extremes(example_market)
-        assert firm_side == example_stable.firm_optimal == nus[0]
-        assert worker_side == example_stable.firm_pessimal == nus[3]
+        top, bottom = oracle_extremes(enumerate_product_oracle(example_market), example_market)
+        assert [firm_side] == top == [nus[0]]
+        assert [worker_side] == bottom == [nus[3]]
 
     def test_deferred_acceptance_gives_the_extremes_on_corpus(self, corpus):
+        checked = 0
         for case in corpus:
+            if product_space(case.market) > 1_000:
+                continue
             firm_side, worker_side = extremes(case.market)
-            assert firm_side == case.stable.firm_optimal, case.seed
-            assert worker_side == case.stable.firm_pessimal, case.seed
+            top, bottom = oracle_extremes(enumerate_product_oracle(case.market), case.market)
+            assert ([firm_side], [worker_side]) == (top, bottom), case.seed
+            checked += 1
+        assert checked == 107
 
     def test_five_by_five_quota_two_market_enumerates_quickly(self):
         market = responsive_market(32, 5, 2)  # a seed with a five-element stable set
@@ -420,6 +436,53 @@ class TestWalk:
         with pytest.raises(ValidationError) as info:
             enumerate_stable(example_market)
         assert info.value.code == "not-stable"
+
+
+class TestOrderFromBreaks:
+    """The firms' order as the closure of the walk's break results, with no
+    pairwise comparison, and the table constructor against it."""
+
+    def test_enumeration_compares_no_pair(self, monkeypatch, example_market):
+        monkeypatch.setattr(lattice, "ENUMERATION_GUARD", 144)
+        calls = []
+
+        def counting(*args, compare=lattice.compare_firms):
+            calls.append(args)
+            return compare(*args)
+
+        monkeypatch.setattr(lattice, "compare_firms", counting)
+        for market, size in ((example_market, 16), (block_diagonal_market((4, 4, 4)), 64)):
+            assert len(enumerate_stable(market)) == size
+        assert calls == []
+
+    def test_a_break_that_climbs_is_refused(self, monkeypatch, example_market):
+        # A break below the top that returns the top's rows closes a cycle:
+        # the closure must refuse it instead of returning a partial order.
+        top, _ = extremes(example_market)
+
+        def climbing(market, mu, f, w, kernel=lattice._break):
+            rows = kernel(market, mu, f, w)
+            return top.firm_masks if rows is not None and mu != top else rows
+
+        monkeypatch.setattr(lattice, "_break", climbing)
+        with pytest.raises(ValidationError) as info:
+            enumerate_stable(example_market)
+        assert info.value.code == "not-stable"
+
+    def test_a_table_rebuilds_the_same_order(self, monkeypatch, example_stable):
+        monkeypatch.setattr(lattice, "ENUMERATION_GUARD", 144)
+        mixed = [mixed_market(seed) for seed in MIXED_SEEDS]
+        markets = [block_diagonal_market(sizes) for sizes in ((3, 2), (2, 2, 2), (4, 4, 4))]
+        markets += mixed + [disjoint_union(a, b) for a, b in itertools.combinations(mixed[:8], 2)]
+        stables = [example_stable, *map(enumerate_stable, markets)]
+        assert len(stables) == 1 + 3 + 51 + 28
+        for stable in stables:
+            fresh = StableSet(stable.market, stable.matchings, stable.firm_table)
+            positions = range(len(stable))
+            for i, j in itertools.product(positions, repeat=2):
+                assert fresh.cmp_f(i, j) is stable.cmp_f(i, j)
+            assert hasse_edges(fresh) == hasse_edges(stable)
+            assert fresh._down_sets() == stable._down_sets()
 
 
 class TestFirmOrder:
